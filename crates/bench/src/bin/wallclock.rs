@@ -21,11 +21,13 @@
 //!   (`knn::block::squared_distances`), counting 2·Q·N·dim flops;
 //! * `pipeline.*_qps` — end-to-end queries/second of the materialized
 //!   (full Q×N matrix, then per-row selection) and tile-streamed
-//!   (`knn_search_streamed`, or the work-stealing parallel variant when
-//!   `--threads` ≠ 1) paths, which are asserted to return identical
-//!   neighbors before any number is written;
+//!   (`knn_search_streamed_parallel` on `--threads` workers) paths,
+//!   which are asserted to return identical neighbors before any number
+//!   is written;
 //! * `*_peak_distance_bytes` — the distance-buffer working set of each
-//!   path: Q·N·4 materialized vs workers·Q_BLOCK·min(tile, N)·4 streamed;
+//!   path: Q·N·4 materialized vs `knn::streamed_scratch_bytes` streamed
+//!   (workers·block·min(tile, N)·4, where one worker's block is all Q
+//!   queries and a pool's is `QUERY_BLOCK`);
 //! * with `--sweep-tiles`, `tile_sweep[]` — streamed QPS per tile size
 //!   in {1024, 2048, 4096, 8192} (clamped to N), plus `best_tile`, the
 //!   sweep's QPS argmax. Each tile length is timed exactly once per
@@ -295,16 +297,6 @@ fn main() {
     if !measure_tiles.contains(&tile) {
         measure_tiles.insert(0, tile);
     }
-    // Distance-scratch working set of the streamed path: the sequential
-    // pipeline fills a Q×tile buffer, the parallel one holds a
-    // QUERY_BLOCK×tile buffer per worker.
-    let streamed_peak = |t: usize| -> u64 {
-        if workers > 1 {
-            (workers * block::QUERY_BLOCK.min(q.max(1)) * t * 4) as u64
-        } else {
-            (q * t * 4) as u64
-        }
-    };
     let mut measured: Vec<TileSweepEntry> = Vec::new();
     for &t in &measure_tiles {
         let metric = if t == tile {
@@ -326,7 +318,7 @@ fn main() {
             tile: t,
             streamed_seconds: secs,
             streamed_qps: qps,
-            peak_distance_bytes: streamed_peak(t),
+            peak_distance_bytes: knn::streamed_scratch_bytes(q, n, t, workers),
         });
     }
     let default_entry = measured

@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use knn::{knn_search_with, validate_points, Metric, PointSet};
+use knn::{validate_points, Metric, PointSet};
 use kselect::gpu::{gpu_select_k, DistanceMatrix, GpuResilience};
 use kselect::{select_k, KnnError, QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
@@ -13,19 +13,12 @@ use trace::{EventJournal, Journal as _, JournalConfig, MetricsRegistry, QueryRec
 use crate::args::{Command, FaultPlanArgs, JournalArgs};
 use crate::io;
 
-/// Round k up to a valid Merge Queue capacity (m·2^j with m = 8) so the
-/// CLI accepts any k for any queue; extra entries are trimmed after
-/// selection.
+/// Round k up to a valid Merge Queue capacity (m·2^j with the fixed
+/// m = 8 of [`SelectConfig`]) so the CLI accepts any k for any queue;
+/// extra entries are trimmed after selection.
 fn padded_k(queue: QueueKind, k: usize) -> usize {
     match queue {
-        QueueKind::Merge => {
-            let m = 8usize.min(k.next_power_of_two());
-            let mut kk = m;
-            while kk < k {
-                kk *= 2;
-            }
-            kk
-        }
+        QueueKind::Merge => 8 * k.div_ceil(8).next_power_of_two(),
         _ => k,
     }
 }
@@ -240,7 +233,19 @@ pub fn run(cmd: Command) -> i32 {
                     return 1;
                 }
             }
-            let cfg = SelectConfig::optimized(queue, padded_k(queue, k));
+            let kk = padded_k(queue, k);
+            if kk > refs.len() {
+                let e = KnnError::InvalidK {
+                    k: kk,
+                    n: refs.len(),
+                };
+                eprintln!(
+                    "error: {}: {e} (k = {k} padded for the {queue:?} queue)",
+                    e.name()
+                );
+                return 1;
+            }
+            let cfg = SelectConfig::optimized(queue, kk);
             let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
             let jn = make_journal(&journal);
             let workers = knn::resolve_threads(threads);
@@ -260,67 +265,28 @@ pub fn run(cmd: Command) -> i32 {
             let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
             let t0 = Instant::now();
             let mut results = if parallel {
-                let tile = knn::DEFAULT_STREAM_TILE;
-                if let Some(tl) = &tlo {
-                    match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            registry.as_ref(),
-                            "search",
-                            tl,
-                        ),
-                        None => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            &trace::NullJournal,
-                            registry.as_ref(),
-                            "search",
-                            tl,
-                        ),
-                    }
-                } else {
-                    match (&jn, &registry) {
-                        (Some(j), reg) => knn::metered::knn_search_streamed_parallel_journaled(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            reg.as_ref(),
-                            "search",
-                        ),
-                        (None, Some(reg)) => knn::metered::knn_search_streamed_parallel_metered(
-                            &queries, &refs, &cfg, tile, workers, reg,
-                        ),
-                        (None, None) => {
-                            knn::knn_search_streamed_parallel(&queries, &refs, &cfg, tile, workers)
-                        }
-                    }
-                }
+                knn::metered::knn_search_streamed_parallel_instrumented(
+                    &queries,
+                    &refs,
+                    &cfg,
+                    knn::DEFAULT_STREAM_TILE,
+                    workers,
+                    &jn.as_ref(),
+                    registry.as_ref(),
+                    "search",
+                    &tlo.as_ref(),
+                )
             } else {
-                let run = || match (&jn, &registry) {
-                    (Some(j), reg) => knn::metered::knn_search_with_journaled(
+                let run = || {
+                    knn::metered::knn_search_with_journaled(
                         &queries,
                         &refs,
                         &cfg,
                         metric,
-                        j,
-                        reg.as_ref(),
+                        &jn.as_ref(),
+                        registry.as_ref(),
                         "search",
-                    ),
-                    (None, Some(reg)) => {
-                        knn::metered::knn_search_with_metered(&queries, &refs, &cfg, metric, reg)
-                    }
-                    (None, None) => knn_search_with(&queries, &refs, &cfg, metric),
+                    )
                 };
                 match &tlo {
                     Some(tl) => tl.service(0, 0, run),
@@ -701,7 +667,6 @@ fn run_stats(
         .as_ref()
         .map(|_| trace::TimelineRecorder::new(workers));
     let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
-    let mut sweep_idx = 0u64;
     println!(
         "native streamed pipeline: {queries} queries × {n} refs (dim {dim}, k={k}) \
          [kernel {}, threads {workers}]\n",
@@ -720,81 +685,17 @@ fn run_stats(
         let cfg = SelectConfig::optimized(kind, kk);
         for tile in STATS_TILES {
             let t0 = Instant::now();
-            let out = if let Some(tl) = &tlo {
-                if workers > 1 {
-                    match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            Some(&reg),
-                            "stats",
-                            tl,
-                        ),
-                        None => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            &trace::NullJournal,
-                            Some(&reg),
-                            "stats",
-                            tl,
-                        ),
-                    }
-                } else {
-                    // Sequential sweeps get one service span per
-                    // combination on track 0 (see the single-worker
-                    // note on the instrumented entry point).
-                    tl.service(0, sweep_idx, || match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_journaled(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            j,
-                            Some(&reg),
-                            "stats",
-                        ),
-                        None => {
-                            knn::metered::knn_search_streamed_metered(&qs, &refs, &cfg, tile, &reg)
-                        }
-                    })
-                }
-            } else {
-                match (&jn, workers > 1) {
-                    (Some(j), true) => knn::metered::knn_search_streamed_parallel_journaled(
-                        &qs,
-                        &refs,
-                        &cfg,
-                        tile,
-                        workers,
-                        j,
-                        Some(&reg),
-                        "stats",
-                    ),
-                    (Some(j), false) => knn::metered::knn_search_streamed_journaled(
-                        &qs,
-                        &refs,
-                        &cfg,
-                        tile,
-                        j,
-                        Some(&reg),
-                        "stats",
-                    ),
-                    (None, true) => knn::metered::knn_search_streamed_parallel_metered(
-                        &qs, &refs, &cfg, tile, workers, &reg,
-                    ),
-                    (None, false) => {
-                        knn::metered::knn_search_streamed_metered(&qs, &refs, &cfg, tile, &reg)
-                    }
-                }
-            };
-            sweep_idx += 1;
+            let out = knn::metered::knn_search_streamed_parallel_instrumented(
+                &qs,
+                &refs,
+                &cfg,
+                tile,
+                workers,
+                &jn.as_ref(),
+                Some(&reg),
+                "stats",
+                &tlo.as_ref(),
+            );
             let dt = t0.elapsed().as_secs_f64();
             std::hint::black_box(&out);
             println!(
@@ -1379,7 +1280,9 @@ mod tests {
         assert_eq!(padded_k(QueueKind::Merge, 8), 8);
         assert_eq!(padded_k(QueueKind::Merge, 9), 16);
         assert_eq!(padded_k(QueueKind::Merge, 100), 128);
-        assert_eq!(padded_k(QueueKind::Merge, 3), 4);
+        // m = 8 is fixed, so k below 8 pads to 8 (never to 4).
+        assert_eq!(padded_k(QueueKind::Merge, 3), 8);
+        assert_eq!(padded_k(QueueKind::Merge, 1), 8);
         assert_eq!(padded_k(QueueKind::Heap, 5), 5);
     }
 

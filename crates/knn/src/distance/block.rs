@@ -16,25 +16,27 @@
 //! in the outer loop, so one tile of reference rows stays
 //! cache-resident while every query row in the slab streams over it —
 //! the reference set is read once per slab instead of once per
-//! [`QUERY_BLOCK`]. (The streamed pipelines still schedule work in
-//! `QUERY_BLOCK` units; only this materialising kernel is tile-outer.) The inner reduction is [`crate::distance::dot`] —
+//! [`QUERY_BLOCK`]. (The streamed executor still deals a worker pool
+//! `QUERY_BLOCK`-query blocks; only this materialising kernel is
+//! tile-outer.) The inner reduction is [`crate::distance::dot`] —
 //! [`crate::distance::LANES`] independent accumulators over
 //! `chunks_exact`, which autovectorizes — and is *the same function* the
 //! scalar [`crate::squared_distance`] uses, so blocked output equals the
 //! scalar reference bit for bit (property-tested).
 //!
-//! The tile-streamed search path ([`crate::pipeline::knn_search_streamed`])
-//! reuses the row primitives here to compute one reference tile at a
-//! time into a reused scratch buffer, never materialising the Q×N
-//! matrix.
+//! The tile-streamed executor
+//! ([`crate::pipeline::knn_search_streamed_parallel`]) reuses the row
+//! primitives here to compute one reference tile at a time into a
+//! reused scratch buffer, never materialising the Q×N matrix.
 
 use rayon::prelude::*;
 
 use crate::dataset::PointSet;
 use crate::distance::{simd, squared_norm};
 
-/// Queries per parallel work unit. 32 rows of dim ≤ 512 stay within L1/L2
-/// alongside one reference tile.
+/// Queries per parallel work unit (per streamed block when more than one
+/// worker runs). 32 rows of dim ≤ 512 stay within L1/L2 alongside one
+/// reference tile.
 pub const QUERY_BLOCK: usize = 32;
 
 /// References per cache tile of the materialising kernel: 256 rows × 128
@@ -42,9 +44,10 @@ pub const QUERY_BLOCK: usize = 32;
 pub const REF_TILE: usize = 256;
 
 /// Default reference-tile length (elements per query per chunk) of the
-/// streamed search path. Each worker's scratch is `QUERY_BLOCK ×
-/// DEFAULT_STREAM_TILE` floats; 2048 keeps that at 256 KiB while still
-/// amortising the per-tile selection merge for typical `k ≤ 512`.
+/// streamed executor. Each pool worker's scratch is `QUERY_BLOCK ×
+/// DEFAULT_STREAM_TILE` floats (a lone worker's is `Q ×
+/// DEFAULT_STREAM_TILE`); 2048 keeps a pool worker's at 256 KiB while
+/// still amortising the per-tile selection merge for typical `k ≤ 512`.
 ///
 /// Chosen empirically: `wallclock --sweep-tiles` (Q=1024, N=2^14,
 /// dim=128, k=32) measures streamed QPS across {1024, 2048, 4096,

@@ -12,7 +12,9 @@ use rayon::prelude::*;
 use crate::dataset::PointSet;
 use crate::metric::{distance_matrix_flat_with, Metric};
 
-/// Exact k-NN ground truth by full sort, for every query.
+/// Exact k-NN ground truth by full sort, for every query. Each worker
+/// sorts in one reused row buffer, and each returned row holds only its
+/// k neighbors.
 pub fn ground_truth(
     queries: &PointSet,
     refs: &PointSet,
@@ -22,16 +24,16 @@ pub fn ground_truth(
     let m = distance_matrix_flat_with(queries, refs, metric);
     (0..m.q())
         .into_par_iter()
-        .map(|qi| {
-            let mut v: Vec<Neighbor> = m
-                .row(qi)
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| Neighbor::new(d, i as u32))
-                .collect();
-            kselect::types::sort_neighbors(&mut v);
-            v.truncate(k);
-            v
+        .map_init(Vec::new, |row: &mut Vec<Neighbor>, qi| {
+            row.clear();
+            row.extend(
+                m.row(qi)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &d)| Neighbor::new(d, i as u32)),
+            );
+            kselect::types::sort_neighbors(row);
+            row[..k.min(row.len())].to_vec()
         })
         .collect()
 }
@@ -72,6 +74,22 @@ pub fn mean_recall(results: &[Vec<Neighbor>], truths: &[Vec<Neighbor>], k: usize
 mod tests {
     use super::*;
     use kselect::{QueueKind, SelectConfig};
+
+    #[test]
+    fn ground_truth_rows_hold_k_not_n() {
+        let queries = PointSet::uniform(4, 8, 61);
+        let refs = PointSet::uniform(1000, 8, 62);
+        let truth = ground_truth(&queries, &refs, 10, Metric::SquaredEuclidean);
+        for row in &truth {
+            assert_eq!(row.len(), 10);
+            assert!(row.capacity() < refs.len(), "capacity {}", row.capacity());
+        }
+        // Still the exact k smallest, ascending.
+        let full = ground_truth(&queries, &refs, refs.len(), Metric::SquaredEuclidean);
+        for (row, all) in truth.iter().zip(&full) {
+            assert_eq!(row[..], all[..10]);
+        }
+    }
 
     #[test]
     fn exact_search_has_unit_recall() {

@@ -3,11 +3,11 @@
 //!
 //! This is the bridge between the pipeline's [`PhaseObserver`] hooks
 //! and `trace::metrics::MetricsRegistry`: every phase gets a wall-clock
-//! latency histogram, the streamed path reports its scratch high-water
-//! mark and [`kselect::chunked::StreamMerger`] push/reject totals, and
-//! the blocked distance kernel gets a timed wrapper. Only this module
-//! reads the host clock on knn's behalf — the default-feature pipeline
-//! monomorphizes the hooks away entirely.
+//! latency histogram, the streamed executor reports its scratch
+//! high-water mark and [`kselect::chunked::StreamMerger`] push/reject
+//! totals, and the blocked distance kernel gets a timed wrapper. Only
+//! this module reads the host clock on knn's behalf — the
+//! default-feature pipeline monomorphizes the hooks away entirely.
 //!
 //! Metric names (`trace::openmetrics` sanitizes the dots for
 //! OpenMetrics output):
@@ -16,19 +16,24 @@
 //! |------|------|---------|
 //! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
 //! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
-//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the streamed path |
-//! | `knn.tile.merge_ns` | histogram | host-side stream merge per tile |
+//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the streamed executor |
+//! | `knn.tile.merge_ns` | histogram | stream merge per query × tile, at every thread count |
 //! | `knn.distance.blocked_ns` | histogram | one full blocked-kernel invocation |
 //! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
 //! | `knn.queries` | counter | queries answered by metered searches |
 //!
-//! The journaled entry points ([`knn_search_with_journaled`],
-//! [`knn_search_streamed_journaled`]) additionally emit one
-//! [`trace::QueryRecord`] per query via a [`JournalObserver`] — the
-//! same clock reads feed both the aggregate histograms and the
-//! per-query records, and a disabled journal falls straight back to the
-//! metered (or plain) path.
+//! Two entry points cover the two native paths:
+//! [`knn_search_with_journaled`] (the materialized row path, also
+//! reachable unjournaled as [`knn_search_with_metered`]) and
+//! [`knn_search_streamed_parallel_instrumented`] (the streamed
+//! executor at any thread count). Each takes an optional journal and
+//! registry, and the streamed one a [`TimelineHooks`] implementation
+//! ([`TimelineObserver`], or [`trace::NullTimeline`] for none). A live
+//! journal gets one [`trace::QueryRecord`] per query via a
+//! [`JournalObserver`] — the same clock reads feed both the aggregate
+//! histograms and the per-query records — and a disabled journal falls
+//! straight back to the metered (or plain) observer.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -43,9 +48,8 @@ use crate::dataset::PointSet;
 use crate::distance::block::{self, FlatMatrix};
 use crate::metric::Metric;
 use crate::pipeline::{
-    knn_search_streamed_observed, knn_search_streamed_parallel_observed,
-    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, resolve_threads,
-    NeverCancel, Phase, PhaseObserver,
+    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, NeverCancel,
+    NullObserver, Phase, PhaseObserver,
 };
 
 /// Histogram name a [`Phase`] records under.
@@ -114,30 +118,6 @@ pub fn knn_search_with_metered(
 ) -> Vec<Vec<Neighbor>> {
     registry.inc(QUERIES, queries.len() as u64);
     knn_search_with_observed(queries, refs, cfg, metric, &RegistryObserver::new(registry))
-}
-
-/// [`crate::knn_search`] (squared Euclidean) metered.
-pub fn knn_search_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    knn_search_with_metered(queries, refs, cfg, Metric::SquaredEuclidean, registry)
-}
-
-/// [`crate::knn_search_streamed`] recording per-tile fill/select/merge
-/// histograms, the scratch high-water mark and stream-merge totals into
-/// `registry`. Same results as the unmetered path.
-pub fn knn_search_streamed_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_streamed_observed(queries, refs, cfg, tile, &RegistryObserver::new(registry))
 }
 
 /// Journal phase-name key of a pipeline [`Phase`] (`None` for the
@@ -325,9 +305,7 @@ pub fn knn_search_with_journaled<J: Journal>(
     if !journal.enabled() {
         return match registry {
             Some(reg) => knn_search_with_metered(queries, refs, cfg, metric, reg),
-            None => {
-                knn_search_with_observed(queries, refs, cfg, metric, &crate::pipeline::NullObserver)
-            }
+            None => knn_search_with_observed(queries, refs, cfg, metric, &NullObserver),
         };
     }
     if let Some(reg) = registry {
@@ -336,112 +314,6 @@ pub fn knn_search_with_journaled<J: Journal>(
     let obs = JournalObserver::new(queries.len(), registry);
     let out = knn_search_with_observed(queries, refs, cfg, metric, &obs);
     obs.flush(journal, cfg, tag, 0, 1);
-    out
-}
-
-/// [`crate::knn_search_streamed`] journaling one [`QueryRecord`] per
-/// query (tile phases summed across tiles, per-query stream-merge
-/// push/reject counts, tiles crossed as `blocks`). See
-/// [`knn_search_with_journaled`] for the disabled-journal contract.
-pub fn knn_search_streamed_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => knn_search_streamed_metered(queries, refs, cfg, tile, reg),
-            None => knn_search_streamed_observed(
-                queries,
-                refs,
-                cfg,
-                tile,
-                &crate::pipeline::NullObserver,
-            ),
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_streamed_observed(queries, refs, cfg, tile, &obs);
-    let eff_tile = tile.min(refs.len().max(1));
-    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-    obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
-    out
-}
-
-/// [`crate::knn_search_streamed_parallel`] metered. Both observers here
-/// are already thread-safe (lock-striped drafts, atomic registry), so
-/// the per-worker measurements land in the same histograms and
-/// counters; totals are exact, only the hook interleaving differs from
-/// the sequential path. Note the merge histogram granularity: the
-/// parallel pipeline merges per query × tile (inside the owning
-/// worker), where the sequential path merges all queries per tile in
-/// one observation.
-pub fn knn_search_streamed_parallel_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_streamed_parallel_observed(
-        queries,
-        refs,
-        cfg,
-        tile,
-        threads,
-        &RegistryObserver::new(registry),
-    )
-}
-
-/// [`crate::knn_search_streamed_parallel`] journaling one
-/// [`QueryRecord`] per query. The [`JournalObserver`]'s per-query draft
-/// shards accumulate from whichever worker owns each query's block and
-/// are merged into records once, after the pool joins — so per-query
-/// phase sums and merge counters are exact at any thread count. See
-/// [`knn_search_with_journaled`] for the disabled-journal contract.
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => {
-                knn_search_streamed_parallel_metered(queries, refs, cfg, tile, threads, reg)
-            }
-            None => knn_search_streamed_parallel_observed(
-                queries,
-                refs,
-                cfg,
-                tile,
-                threads,
-                &crate::pipeline::NullObserver,
-            ),
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_streamed_parallel_observed(queries, refs, cfg, tile, threads, &obs);
-    let eff_tile = tile.min(refs.len().max(1));
-    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-    obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
     out
 }
 
@@ -481,10 +353,11 @@ impl<'a> TimelineObserver<'a> {
         self.rec.report(self.now_ns())
     }
 
-    /// Run `f` as one `Service` span on `worker`'s track. Sequential
-    /// paths have no block claims to record, so this is how they get an
-    /// honest busy lane; `detail` disambiguates repeated services (the
-    /// CLI uses the sweep/run index).
+    /// Run `f` as one `Service` span on `worker`'s track. Paths outside
+    /// the streamed executor (the materialized row search, the selection
+    /// microbenchmark) have no block claims to record, so this is how
+    /// they get an honest busy lane; `detail` disambiguates repeated
+    /// services (the CLI uses the run index).
     pub fn service<R>(&self, worker: usize, detail: u64, f: impl FnOnce() -> R) -> R {
         let t0 = self.now_ns();
         let out = f();
@@ -515,19 +388,20 @@ impl TimelineHooks for TimelineObserver<'_> {
     }
 }
 
-/// The fully instrumented parallel search: per-worker timeline tracks
-/// via `tl`, plus — exactly as [`knn_search_streamed_parallel_journaled`]
-/// — an optional journal and registry. Dispatches internally on the
-/// journal/registry combination so one entry point serves every CLI
-/// flag combination; results are identical to
-/// [`crate::knn_search_streamed_parallel`] in all cases.
-///
-/// Single-worker runs (after [`resolve_threads`]) take the sequential
-/// path wrapped in one `Service` span on track 0, because sequential
-/// tile order is not block order (see
-/// [`knn_search_streamed_parallel_timelined`]).
+/// The fully instrumented streamed search: per-worker timeline hooks
+/// via `tl` ([`TimelineObserver`], or [`trace::NullTimeline`] for none),
+/// an optional journal (one [`QueryRecord`] per query: tile phases
+/// summed across tiles, per-query stream-merge push/reject counts,
+/// tiles crossed as `blocks`, the owning worker) and an optional
+/// registry. Dispatches on the journal/registry combination so one
+/// entry point serves every caller; results are identical to
+/// [`crate::knn_search_streamed_parallel`] in all cases. The
+/// [`JournalObserver`]'s per-query drafts accumulate from whichever
+/// worker owns each query's block and are flushed into records once,
+/// after the pool joins, so per-query phase sums and merge counters are
+/// exact at any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_instrumented<J: Journal>(
+pub fn knn_search_streamed_parallel_instrumented<J: Journal, T: TimelineHooks>(
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
@@ -536,62 +410,51 @@ pub fn knn_search_streamed_parallel_instrumented<J: Journal>(
     journal: &J,
     registry: Option<&MetricsRegistry>,
     tag: &str,
-    tl: &TimelineObserver<'_>,
+    tl: &T,
 ) -> Vec<Vec<Neighbor>> {
-    if resolve_threads(threads) <= 1 {
-        return tl.service(0, 0, || {
-            knn_search_streamed_parallel_journaled(
-                queries, refs, cfg, tile, threads, journal, registry, tag,
-            )
-        });
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    fn finish(r: Result<Vec<Vec<Neighbor>>, crate::pipeline::Cancelled>) -> Vec<Vec<Neighbor>> {
-        match r {
-            Ok(v) => v,
-            Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
-        }
-    }
-    if journal.enabled() {
-        let obs = JournalObserver::new(queries.len(), registry);
-        let out = finish(knn_search_streamed_parallel_timelined(
+    fn search<O: PhaseObserver, T: TimelineHooks>(
+        queries: &PointSet,
+        refs: &PointSet,
+        cfg: &SelectConfig,
+        tile: usize,
+        threads: usize,
+        obs: &O,
+        tl: &T,
+    ) -> Vec<Vec<Neighbor>> {
+        knn_search_streamed_parallel_timelined(
             queries,
             refs,
             cfg,
             tile,
             threads,
-            &obs,
+            obs,
             &NeverCancel,
             tl,
-        ));
+        )
+        .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
+    }
+    if let Some(reg) = registry {
+        reg.inc(QUERIES, queries.len() as u64);
+    }
+    if journal.enabled() {
+        let obs = JournalObserver::new(queries.len(), registry);
+        let out = search(queries, refs, cfg, tile, threads, &obs, tl);
         let eff_tile = tile.min(refs.len().max(1));
-        let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
+        let blocks = refs.len().div_ceil(eff_tile) as u32;
         obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
         out
     } else if let Some(reg) = registry {
-        finish(knn_search_streamed_parallel_timelined(
+        search(
             queries,
             refs,
             cfg,
             tile,
             threads,
             &RegistryObserver::new(reg),
-            &NeverCancel,
             tl,
-        ))
+        )
     } else {
-        finish(knn_search_streamed_parallel_timelined(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            &crate::pipeline::NullObserver,
-            &NeverCancel,
-            tl,
-        ))
+        search(queries, refs, cfg, tile, threads, &NullObserver, tl)
     }
 }
 
@@ -613,8 +476,9 @@ pub fn squared_distances_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{knn_search_streamed, knn_search_with};
+    use crate::pipeline::{knn_search_streamed_parallel, knn_search_with};
     use kselect::QueueKind;
+    use trace::{NullJournal, NullTimeline};
 
     #[test]
     fn metered_searches_match_unmetered_and_populate_the_registry() {
@@ -624,11 +488,22 @@ mod tests {
         let reg = MetricsRegistry::new();
 
         let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
-        let metered = knn_search_metered(&queries, &refs, &cfg, &reg);
+        let metered =
+            knn_search_with_metered(&queries, &refs, &cfg, Metric::SquaredEuclidean, &reg);
         assert_eq!(metered, plain, "metering must not change results");
 
-        let streamed_plain = knn_search_streamed(&queries, &refs, &cfg, 100);
-        let streamed = knn_search_streamed_metered(&queries, &refs, &cfg, 100, &reg);
+        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let streamed = knn_search_streamed_parallel_instrumented(
+            &queries,
+            &refs,
+            &cfg,
+            100,
+            1,
+            &NullJournal,
+            Some(&reg),
+            "",
+            &NullTimeline,
+        );
         assert_eq!(streamed, streamed_plain);
 
         let snap = reg.snapshot();
@@ -641,10 +516,11 @@ mod tests {
         assert_eq!(hist("knn.query.latency_ns").count, 24);
         assert_eq!(hist("knn.row.fill_ns").count, 24);
         assert_eq!(hist("knn.row.select_ns").count, 24);
-        // 400 refs / tile 100 = 4 tiles × 24 queries
+        // 400 refs / tile 100 = 4 tiles × 24 queries; merges are
+        // observed per query × tile too.
         assert_eq!(hist("knn.tile.fill_ns").count, 96);
         assert_eq!(hist("knn.tile.select_ns").count, 96);
-        assert_eq!(hist("knn.tile.merge_ns").count, 4);
+        assert_eq!(hist("knn.tile.merge_ns").count, 96);
         assert_eq!(reg.counter(QUERIES), 48);
         // every tile yields min(k, tile) survivors: 4 tiles × 16 × 24
         assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 24);
@@ -653,14 +529,14 @@ mod tests {
             (24 * 16) as u64,
             "kept candidates must equal Q × k"
         );
-        // streamed scratch: Q × tile × 4 = 24 × 100 × 4; the
+        // one-worker streamed scratch: Q × tile × 4 = 24 × 100 × 4; the
         // materialized row path recorded N × 4 per worker, smaller here
         assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 24 * 100 * 4);
     }
 
     #[test]
     fn journaled_searches_match_plain_and_emit_one_record_per_query() {
-        use trace::{EventJournal, JournalConfig, NullJournal};
+        use trace::{EventJournal, JournalConfig};
 
         let queries = PointSet::uniform(16, 10, 135);
         let refs = PointSet::uniform(300, 10, 136);
@@ -714,10 +590,19 @@ mod tests {
         assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
 
         // streamed: tile phases sum, per-query merge stats, blocks count
-        let streamed_plain = knn_search_streamed(&queries, &refs, &cfg, 100);
+        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
         let journal = EventJournal::new(JournalConfig::default());
-        let out =
-            knn_search_streamed_journaled(&queries, &refs, &cfg, 100, &journal, None, "stream-run");
+        let out = knn_search_streamed_parallel_instrumented(
+            &queries,
+            &refs,
+            &cfg,
+            100,
+            1,
+            &journal,
+            None,
+            "stream-run",
+            &NullTimeline,
+        );
         assert_eq!(out, streamed_plain);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
@@ -734,16 +619,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_metered_matches_sequential_and_totals_are_exact() {
+    fn metered_streamed_totals_are_exact_at_any_thread_count() {
         let queries = PointSet::uniform(70, 12, 137);
         let refs = PointSet::uniform(400, 12, 138);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let sequential = knn_search_streamed(&queries, &refs, &cfg, 100);
-        for threads in [2usize, 8] {
+        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
-            let parallel =
-                knn_search_streamed_parallel_metered(&queries, &refs, &cfg, 100, threads, &reg);
-            assert_eq!(parallel, sequential, "threads {threads}");
+            let parallel = knn_search_streamed_parallel_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                100,
+                threads,
+                &NullJournal,
+                Some(&reg),
+                "",
+                &NullTimeline,
+            );
+            assert_eq!(parallel, one, "threads {threads}");
             let snap = reg.snapshot();
             let hist = |name: &str| {
                 snap.histograms
@@ -755,7 +649,7 @@ mod tests {
             // how blocks were distributed across workers.
             assert_eq!(hist("knn.tile.fill_ns").count, 280, "threads {threads}");
             assert_eq!(hist("knn.tile.select_ns").count, 280);
-            // The parallel pipeline merges per query × tile.
+            // Merges are observed per query × tile at every thread count.
             assert_eq!(hist("knn.tile.merge_ns").count, 280);
             assert_eq!(reg.counter(QUERIES), 70);
             assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 70);
@@ -768,19 +662,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_journaled_matches_sequential_records_at_any_thread_count() {
+    fn journaled_streamed_records_are_exact_at_any_thread_count() {
         use trace::{EventJournal, JournalConfig};
 
         let queries = PointSet::uniform(40, 10, 139);
         let refs = PointSet::uniform(300, 10, 140);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let sequential = knn_search_streamed(&queries, &refs, &cfg, 100);
+        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
-            let out = knn_search_streamed_parallel_journaled(
-                &queries, &refs, &cfg, 100, threads, &journal, None, "par-run",
+            let out = knn_search_streamed_parallel_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                100,
+                threads,
+                &journal,
+                None,
+                "par-run",
+                &NullTimeline,
             );
-            assert_eq!(out, sequential, "threads {threads}");
+            assert_eq!(out, one, "threads {threads}");
             let snap = journal.snapshot();
             assert_eq!(snap.len(), 40, "one record per query");
             for r in &snap {
@@ -803,9 +705,6 @@ mod tests {
 
     #[test]
     fn instrumented_matches_plain_and_accounts_every_block_exactly_once() {
-        use crate::pipeline::knn_search_streamed_parallel;
-        use trace::NullJournal;
-
         // 130 queries / QUERY_BLOCK(32) = 5 blocks -> all 4 workers run.
         let queries = PointSet::uniform(130, 12, 141);
         let refs = PointSet::uniform(400, 12, 142);
@@ -859,13 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_single_thread_takes_the_sequential_path_as_a_service_span() {
-        use trace::NullJournal;
-
+    fn instrumented_single_worker_runs_every_block_on_one_lane() {
         let queries = PointSet::uniform(20, 10, 143);
         let refs = PointSet::uniform(200, 10, 144);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_streamed(&queries, &refs, &cfg, 64);
+        let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
         let rec = TimelineRecorder::new(1);
         let tl = TimelineObserver::new(&rec);
         let out = knn_search_streamed_parallel_instrumented(
@@ -882,10 +779,24 @@ mod tests {
         assert_eq!(out, plain);
         let report = tl.report();
         assert_eq!(report.lanes.len(), 1);
-        let spans = &report.lanes[0].spans;
-        assert_eq!(spans.len(), 1, "one service span, no block claims");
-        assert_eq!(spans[0].kind, SpanKind::Service);
-        assert!(report.lanes[0].busy_ns > 0, "the service span is busy time");
+        let lane = &report.lanes[0];
+        // One worker takes the whole query set as its one block.
+        assert_eq!(report.blocks_total, 1);
+        assert_eq!(
+            lane.blocks, report.blocks_total,
+            "every block on the one lane"
+        );
+        let blocks = lane
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Block)
+            .count();
+        assert_eq!(blocks, 1);
+        // 200 refs / tile 64 = 4 tiles walked.
+        assert_eq!(lane.tiles, 4);
+        assert_eq!(lane.busy_ns + lane.idle_ns, report.wall_ns);
+        assert!(lane.busy_ns > 0);
+        assert_eq!(lane.scratch_peak_bytes, 20 * 64 * 4, "Q × tile floats");
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! * [`knn_search`] — the native library entry point: real computation on
 //!   the host, parallel over queries with one reused distance-row scratch
 //!   per worker. This is what a downstream user of the crate calls.
-//! * [`knn_search_streamed`] — the tile-streamed native pipeline: per
-//!   reference tile, distances are computed into a reused Q×tile scratch
-//!   and fed straight into per-tile k-selection merged by
-//!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
-//!   materialised, so peak distance memory is O(Q·tile) instead of
-//!   O(Q·N) — same distances bit-for-bit and same neighbors as
-//!   [`knn_search`] (see its docs for the tied-id caveat).
-//! * [`knn_search_streamed_parallel`] — the streamed pipeline scheduled
-//!   across a pool of OS threads: workers claim query *blocks* from a
-//!   shared cursor and walk every reference tile of their block in
-//!   ascending order, so each query's merge sequence — and therefore
-//!   its neighbors — is identical at any thread count. One scratch
-//!   buffer per worker, no per-query allocation.
+//! * [`knn_search_streamed_parallel`] — the tile-streamed native
+//!   pipeline, the crate's one streamed executor: workers claim query
+//!   *blocks* from a shared cursor and walk every reference tile of
+//!   their block in ascending order, filling a reused block×tile
+//!   distance scratch and feeding per-tile k-selection into a
+//!   per-query [`kselect::chunked::StreamMerger`]. The full Q×N matrix
+//!   is never materialised, each query's merge sequence — and therefore
+//!   its neighbors — is identical at any thread count, and the
+//!   distances equal [`knn_search`]'s bit for bit (see
+//!   [`knn_search_streamed_parallel_timelined`] for the tied-id
+//!   caveat). One worker runs the whole query set as a single block
+//!   inline; its scratch is Q×tile floats. Its `_observed` and
+//!   `_timelined` forms add phase observers, cancellation and
+//!   per-worker timeline hooks.
 //! * [`gpu_knn`] — the simulated pipeline the experiments use: distances
 //!   are computed natively (they are *data*), the distance kernel's cost
 //!   is charged analytically, and k-selection runs for real on the SIMT
@@ -56,12 +57,13 @@ pub enum Phase {
     /// k-selection over one query's full row in [`knn_search_with`].
     RowSelect,
     /// Distance fill of one query × one reference tile in
-    /// [`knn_search_streamed`].
+    /// [`knn_search_streamed_parallel`].
     TileFill,
-    /// Per-tile k-selection of one query in [`knn_search_streamed`].
+    /// Per-tile k-selection of one query in
+    /// [`knn_search_streamed_parallel`].
     TileSelect,
-    /// Host-side [`StreamMerger`] merge of one tile's survivors across
-    /// all queries in [`knn_search_streamed`].
+    /// [`StreamMerger`] merge of one query's tile survivors in
+    /// [`knn_search_streamed_parallel`].
     TileMerge,
 }
 
@@ -104,8 +106,9 @@ pub trait PhaseObserver: Sync {
     #[inline]
     fn query_merger_stats(&self, _qi: usize, _pushed: u64, _rejected: u64) {}
     /// Which pool worker serviced query `qi`. Fired once per query by
-    /// the parallel pipeline (never by sequential paths, whose implied
-    /// worker is 0); the journal records it on the query's record.
+    /// the streamed pipeline (never by the materialized row path, whose
+    /// implied worker is 0); the journal records it on the query's
+    /// record.
     #[inline]
     fn query_worker(&self, _qi: usize, _worker: usize) {}
 }
@@ -132,8 +135,8 @@ pub trait CancelToken: Sync {
 }
 
 /// The zero-cost default token: never cancels. Monomorphizes
-/// [`knn_search_streamed_cancellable`] to exactly the uncancellable
-/// code.
+/// [`knn_search_streamed_parallel_timelined`] to exactly the
+/// uncancellable code.
 pub struct NeverCancel;
 
 impl CancelToken for NeverCancel {
@@ -244,130 +247,6 @@ pub fn knn_search_with_observed<O: PhaseObserver>(
         .collect()
 }
 
-/// Tile-streamed native k-NN search: exact results of [`knn_search`]
-/// without ever materialising the Q×N distance matrix.
-///
-/// The reference list is processed in `tile`-length chunks (use
-/// [`block::DEFAULT_STREAM_TILE`] when in doubt). Per tile, a reused
-/// Q×tile scratch is filled by the blocked row primitive (parallel over
-/// queries), each query's tile is k-selected with the configured
-/// variant, and the survivors stream into a per-query
-/// [`StreamMerger`] — the same merge the divide-and-merge
-/// (`select_k_chunked`) path uses, so the final top-k distances are
-/// identical to selecting over the full row, and with the insertion
-/// queue the ids are too (first-seen == lowest id on both paths). The
-/// heap and merge queues evict id-arbitrarily among *equal* distances,
-/// so under exact ties at the k-th value the two paths may keep
-/// different (equally correct) tied ids — a property of those queues,
-/// not of the streaming. Peak distance memory is `Q × min(tile, N)`
-/// floats.
-///
-/// # Panics
-/// When `tile` is zero, `cfg.k` exceeds the number of references, or the
-/// point sets disagree on dimensionality.
-pub fn knn_search_streamed(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-) -> Vec<Vec<Neighbor>> {
-    knn_search_streamed_observed(queries, refs, cfg, tile, &NullObserver)
-}
-
-/// [`knn_search_streamed`] with [`PhaseObserver`] hooks at tile
-/// granularity: per-query tile fill ([`Phase::TileFill`]) and selection
-/// ([`Phase::TileSelect`]) inside the parallel loop, the host-side
-/// merge per tile ([`Phase::TileMerge`]), the scratch working-set bytes
-/// and the final [`StreamMerger`] push/reject totals. Results are
-/// identical to the unobserved path.
-pub fn knn_search_streamed_observed<O: PhaseObserver>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    obs: &O,
-) -> Vec<Vec<Neighbor>> {
-    match knn_search_streamed_cancellable(queries, refs, cfg, tile, obs, &NeverCancel) {
-        Ok(neighbors) => neighbors,
-        // `NeverCancel` never trips.
-        Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
-    }
-}
-
-/// [`knn_search_streamed_observed`] with cooperative cancellation
-/// checked at every tile boundary.
-///
-/// `token` is polled with the completed-tile count before each tile;
-/// when it returns `true` the search stops there and returns
-/// [`Cancelled`] — no further distance rows are filled, no further
-/// selection runs, and the partial merge state is dropped (see
-/// [`Cancelled`] for why). With [`NeverCancel`] this is exactly
-/// [`knn_search_streamed_observed`]: same results, same observer
-/// events, byte for byte.
-pub fn knn_search_streamed_cancellable<O: PhaseObserver, C: CancelToken>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    obs: &O,
-    token: &C,
-) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
-    assert!(tile > 0, "tile size must be positive");
-    assert!(cfg.k <= refs.len(), "k exceeds the number of references");
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-    let q = queries.len();
-    let n = refs.len();
-    let tile = tile.min(n.max(1));
-    let ref_norms = block::norms(refs);
-    let q_norms = block::norms(queries);
-    let mut mergers: Vec<StreamMerger> = (0..q).map(|_| StreamMerger::new(cfg.k)).collect();
-    let mut scratch = vec![0.0f32; q * tile];
-    obs.scratch_bytes((q * tile * core::mem::size_of::<f32>()) as u64);
-    let tiles_total = n.div_ceil(tile);
-    for (tiles_done, r0) in (0..n).step_by(tile).enumerate() {
-        if token.is_cancelled(tiles_done) {
-            return Err(Cancelled {
-                tiles_done,
-                tiles_total,
-            });
-        }
-        let t_len = tile.min(n - r0);
-        let rows: Vec<(usize, &mut [f32])> =
-            scratch[..q * t_len].chunks_mut(t_len).enumerate().collect();
-        let survivors: Vec<Vec<Neighbor>> = rows
-            .into_par_iter()
-            .map(|(qi, row)| {
-                obs.timed_q(Phase::TileFill, qi, || {
-                    block::fill_row_range(
-                        queries.point(qi),
-                        q_norms[qi],
-                        refs,
-                        &ref_norms,
-                        r0,
-                        &mut *row,
-                    )
-                });
-                obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg))
-            })
-            .collect();
-        obs.timed(Phase::TileMerge, || {
-            for (merger, tile_topk) in mergers.iter_mut().zip(survivors) {
-                merger.push_chunk(tile_topk, r0 as u32);
-            }
-        });
-    }
-    let (pushed, rejected) = mergers
-        .iter()
-        .enumerate()
-        .fold((0u64, 0u64), |(p, r), (qi, m)| {
-            let s = m.stats();
-            obs.query_merger_stats(qi, s.pushed, s.rejected);
-            (p + s.pushed, r + s.rejected)
-        });
-    obs.merger_stats(pushed, rejected);
-    Ok(mergers.into_iter().map(StreamMerger::finish).collect())
-}
-
 /// Resolve a caller-facing thread-count request: `0` means "auto"
 /// (`RAYON_NUM_THREADS`, else the host's available parallelism), any
 /// positive value is taken literally.
@@ -379,10 +258,62 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// [`knn_search_streamed`] scheduled across `threads` OS threads
-/// (`0` = auto, see [`resolve_threads`]). Same neighbors as the
-/// sequential streamed path at any thread count — see
-/// [`knn_search_streamed_parallel_cancellable`] for how.
+/// How the executor splits one search over `q` queries and `n`
+/// references: the worker count, the queries per block, the clamped
+/// tile length and the block and tile counts.
+struct Schedule {
+    workers: usize,
+    block_len: usize,
+    blocks_total: usize,
+    tile: usize,
+    tiles_total: usize,
+}
+
+impl Schedule {
+    fn new(q: usize, n: usize, tile: usize, threads: usize) -> Self {
+        let workers = resolve_threads(threads);
+        // One worker takes the whole query set as one block, so each
+        // tile is one pass over the references; a pool deals out
+        // QUERY_BLOCK-query blocks so a fast worker can steal the next.
+        let block_len = if workers == 1 {
+            q
+        } else {
+            block::QUERY_BLOCK.min(q)
+        }
+        .max(1);
+        let blocks_total = q.div_ceil(block_len);
+        let tile = tile.min(n.max(1));
+        Schedule {
+            workers: workers.min(blocks_total.max(1)),
+            block_len,
+            blocks_total,
+            tile,
+            tiles_total: n.div_ceil(tile),
+        }
+    }
+
+    /// Distance-scratch bytes across the pool: one block×tile buffer
+    /// per worker.
+    fn scratch_bytes(&self) -> u64 {
+        (self.workers * self.block_len * self.tile * core::mem::size_of::<f32>()) as u64
+    }
+}
+
+/// Peak distance-scratch bytes of a streamed search over `q` queries
+/// and `n` references at `tile` and `threads`:
+/// `workers × block × min(tile, N) × 4`, where one worker holds the
+/// whole query set as its block (Q×tile) and a pool holds one
+/// [`block::QUERY_BLOCK`]-query block per worker.
+pub fn streamed_scratch_bytes(q: usize, n: usize, tile: usize, threads: usize) -> u64 {
+    Schedule::new(q, n, tile, threads).scratch_bytes()
+}
+
+/// Tile-streamed native k-NN search on `threads` OS threads (`0` =
+/// auto, see [`resolve_threads`]): the neighbors of [`knn_search`]
+/// without ever materialising the Q×N distance matrix, identical at
+/// any thread count. See [`knn_search_streamed_parallel_timelined`] for
+/// the schedule and the tie caveat. Use [`block::DEFAULT_STREAM_TILE`]
+/// for `tile` when in doubt.
 pub fn knn_search_streamed_parallel(
     queries: &PointSet,
     refs: &PointSet,
@@ -393,12 +324,15 @@ pub fn knn_search_streamed_parallel(
     knn_search_streamed_parallel_observed(queries, refs, cfg, tile, threads, &NullObserver)
 }
 
-/// [`knn_search_streamed_parallel`] with [`PhaseObserver`] hooks. The
-/// observer must be thread-safe (the trait already requires `Sync`);
-/// per-query hooks fire from whichever worker owns the query's block,
-/// and the aggregate merge totals are folded once after the pool joins,
-/// so counters and per-query attributions are exact — only the
-/// interleaving of hook invocations differs from the sequential path.
+/// [`knn_search_streamed_parallel`] with [`PhaseObserver`] hooks: per
+/// query × tile fill ([`Phase::TileFill`]), selection
+/// ([`Phase::TileSelect`]) and merge ([`Phase::TileMerge`]), the
+/// scratch working-set bytes and the [`StreamMerger`] push/reject
+/// totals. The observer must be thread-safe (the trait already requires
+/// `Sync`); per-query hooks fire from whichever worker owns the query's
+/// block, and the aggregate merge totals are folded once after the pool
+/// joins, so counters and per-query attributions are exact at any
+/// thread count. Results are identical to the unobserved search.
 pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
     queries: &PointSet,
     refs: &PointSet,
@@ -407,7 +341,7 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
     threads: usize,
     obs: &O,
 ) -> Vec<Vec<Neighbor>> {
-    match knn_search_streamed_parallel_cancellable(
+    match knn_search_streamed_parallel_timelined(
         queries,
         refs,
         cfg,
@@ -415,6 +349,7 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
         threads,
         obs,
         &NeverCancel,
+        &NullTimeline,
     ) {
         Ok(neighbors) => neighbors,
         // `NeverCancel` never trips.
@@ -422,65 +357,48 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
     }
 }
 
-/// The parallel tile pipeline: workers claim [`block::QUERY_BLOCK`]-sized
-/// query blocks from a shared atomic cursor (dynamic scheduling — a
-/// fast worker steals the next block as soon as it finishes one) and
-/// walk *every* reference tile of their block in ascending order into a
-/// per-worker block×tile scratch. Because each query's tile survivors
-/// reach its [`StreamMerger`] in exactly the sequential order, the
-/// merged neighbors are identical to [`knn_search_streamed`] at any
-/// thread count; only wall-clock interleaving varies.
+/// The streamed executor. Workers claim query blocks from a shared
+/// atomic cursor (dynamic scheduling — a fast worker steals the next
+/// block as soon as it finishes one) and walk *every* reference tile of
+/// their block in ascending order into a per-worker block×tile scratch:
+/// per query, the tile's distances are filled by the blocked row
+/// primitive, k-selected with the configured variant, and the survivors
+/// pushed into the query's [`StreamMerger`] — the same merge the
+/// divide-and-merge (`select_k_chunked`) path uses. Each query's
+/// survivors therefore reach its merger in the same order at any thread
+/// count, so the neighbors are identical; only wall-clock interleaving
+/// varies. One worker (after [`resolve_threads`]) runs inline, on the
+/// calling thread, with the whole query set as one block; a pool deals
+/// out [`block::QUERY_BLOCK`]-query blocks. The scratch is
+/// [`streamed_scratch_bytes`].
 ///
-/// `token` is polled per block with that block's completed-tile count.
-/// [`CancelToken`]s are deterministic functions of `tiles_done` (the
-/// trait contract), so every block trips at the same tile index and the
-/// returned [`Cancelled`] reports the same boundary the sequential path
-/// would; when workers race past a trip, the earliest boundary wins.
-/// Partial results are dropped, as on the sequential path.
+/// The final top-k distances equal selecting over the full row
+/// ([`knn_search`]), and with the insertion queue the ids do too
+/// (first-seen == lowest id on both paths). The heap and merge queues
+/// evict id-arbitrarily among *equal* distances, so under exact ties at
+/// the k-th value the two paths may keep different (equally correct)
+/// tied ids — a property of those queues, not of the streaming.
 ///
-/// `threads <= 1` (after [`resolve_threads`]) delegates to
-/// [`knn_search_streamed_cancellable`] — byte-identical behaviour,
-/// observer event order included.
+/// `token` is polled per block and tile with that block's completed-tile
+/// count; when it returns `true` the block stops there and the search
+/// returns [`Cancelled`] — no further distance rows are filled, no
+/// further selection runs, and the partial merge state is dropped (see
+/// [`Cancelled`] for why). [`CancelToken`]s are deterministic functions
+/// of `tiles_done` (the trait contract), so every block trips at the
+/// same tile index and the report does not depend on the thread count;
+/// when workers race past a trip, the earliest boundary wins.
+///
+/// `tl` receives per-worker [`TimelineHooks`]: each worker announces
+/// itself, every block claim / tile walk / block completion fires on
+/// that worker's track, and the per-worker scratch reservation is
+/// reported once per worker. The hooks carry **no timestamps** — a
+/// clock-owning implementation (such as `knn::metered`'s recorder
+/// adapter) stamps them on arrival, so this module stays clock-free and
+/// [`NullTimeline`] monomorphizes to exactly the untimelined code.
 ///
 /// # Panics
 /// When `tile` is zero, `cfg.k` exceeds the number of references, or
 /// the point sets disagree on dimensionality.
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_cancellable<O: PhaseObserver, C: CancelToken>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    obs: &O,
-    token: &C,
-) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
-    knn_search_streamed_parallel_timelined(
-        queries,
-        refs,
-        cfg,
-        tile,
-        threads,
-        obs,
-        token,
-        &NullTimeline,
-    )
-}
-
-/// [`knn_search_streamed_parallel_cancellable`] with per-worker
-/// [`TimelineHooks`]: each worker announces itself, every block claim /
-/// tile walk / block completion fires on that worker's track, and the
-/// per-worker scratch reservation is reported once per worker. The
-/// hooks carry **no timestamps** — a clock-owning implementation (such
-/// as `knn::metered`'s recorder adapter) stamps them on arrival, so
-/// this module stays clock-free and [`NullTimeline`] monomorphizes to
-/// exactly the untimelined code.
-///
-/// Single-worker runs (after [`resolve_threads`]) delegate to the
-/// sequential path and fire **no** timeline hooks; callers that want a
-/// lane for a sequential run should wrap the call in a service span
-/// (as `knn::metered` does), because sequential tile order is not block
-/// order and per-block tracks would misattribute it.
 #[allow(clippy::too_many_arguments)]
 pub fn knn_search_streamed_parallel_timelined<
     O: PhaseObserver,
@@ -499,25 +417,22 @@ pub fn knn_search_streamed_parallel_timelined<
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let workers = resolve_threads(threads);
-    if workers <= 1 {
-        return knn_search_streamed_cancellable(queries, refs, cfg, tile, obs, token);
-    }
     assert!(tile > 0, "tile size must be positive");
     assert!(cfg.k <= refs.len(), "k exceeds the number of references");
     assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
     let q = queries.len();
     let n = refs.len();
-    let tile = tile.min(n.max(1));
+    let schedule = Schedule::new(q, n, tile, threads);
+    obs.scratch_bytes(schedule.scratch_bytes());
+    let Schedule {
+        workers,
+        block_len,
+        blocks_total,
+        tile,
+        tiles_total,
+    } = schedule;
     let ref_norms = block::norms(refs);
     let q_norms = block::norms(queries);
-    let tiles_total = n.div_ceil(tile);
-    let block_len = block::QUERY_BLOCK.min(q.max(1));
-    let blocks_total = q.div_ceil(block_len);
-    let workers = workers.min(blocks_total.max(1));
-    // Peak distance scratch across the pool: one block×tile row buffer
-    // per worker, reused for every block that worker claims.
-    obs.scratch_bytes((workers * block_len * tile * core::mem::size_of::<f32>()) as u64);
 
     let next_block = AtomicUsize::new(0);
     // Earliest tile boundary any block's token tripped at; usize::MAX =
@@ -1030,35 +945,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_materialized_across_tiles() {
-        let queries = PointSet::uniform(30, 12, 118);
+    fn streamed_matches_materialized_across_tiles_and_threads() {
+        // 70 queries = 3 query blocks (QUERY_BLOCK = 32): more blocks
+        // than workers at 2 threads, fewer at 8, one whole-set block at 1.
+        let queries = PointSet::uniform(70, 12, 118);
         let refs = PointSet::uniform(500, 12, 119);
         for kind in [QueueKind::Insertion, QueueKind::Merge, QueueKind::Heap] {
             let cfg = SelectConfig::plain(kind, 16);
             let full = knn_search(&queries, &refs, &cfg);
             // Tiles straddling k, tile-edge remainders, and tile > N.
             for tile in [7usize, 16, 100, 499, 500, 4096] {
-                let streamed = knn_search_streamed(&queries, &refs, &cfg, tile);
-                assert_eq!(streamed, full, "kind {kind:?} tile {tile}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_streamed_matches_sequential_at_any_thread_count() {
-        // 70 queries = 3 query blocks (QUERY_BLOCK = 32): more blocks
-        // than workers at 2 threads, fewer at 8.
-        let queries = PointSet::uniform(70, 12, 218);
-        let refs = PointSet::uniform(500, 12, 219);
-        for kind in [QueueKind::Insertion, QueueKind::Merge, QueueKind::Heap] {
-            let cfg = SelectConfig::plain(kind, 16);
-            for tile in [7usize, 100, 500, 4096] {
-                let sequential = knn_search_streamed(&queries, &refs, &cfg, tile);
                 for threads in [1usize, 2, 8] {
-                    let parallel =
+                    let streamed =
                         knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
                     assert_eq!(
-                        parallel, sequential,
+                        streamed, full,
                         "kind {kind:?} tile {tile} threads {threads}"
                     );
                 }
@@ -1073,67 +974,26 @@ mod tests {
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         for q in [1usize, 5, 32] {
             let queries = PointSet::uniform(q, 8, 221);
-            let sequential = knn_search_streamed(&queries, &refs, &cfg, 64);
-            let parallel = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 8);
-            assert_eq!(parallel, sequential, "q {q}");
+            let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 1);
+            let pool = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 8);
+            assert_eq!(pool, one, "q {q}");
         }
     }
 
     #[test]
-    fn parallel_tile_budget_stops_at_the_sequential_boundary() {
-        let queries = PointSet::uniform(70, 8, 222);
-        let refs = PointSet::uniform(400, 8, 223);
-        let cfg = SelectConfig::plain(QueueKind::Heap, 4);
-        // 400 refs / 64-tile = 7 tiles; admit 3 — every block trips at
-        // the same boundary, so the report matches the sequential path.
-        for threads in [2usize, 8] {
-            let out = knn_search_streamed_parallel_cancellable(
-                &queries,
-                &refs,
-                &cfg,
-                64,
-                threads,
-                &NullObserver,
-                &TileBudget(3),
-            );
-            assert_eq!(
-                out,
-                Err(Cancelled {
-                    tiles_done: 3,
-                    tiles_total: 7
-                }),
-                "threads {threads}"
-            );
-            let none = knn_search_streamed_parallel_cancellable(
-                &queries,
-                &refs,
-                &cfg,
-                64,
-                threads,
-                &NullObserver,
-                &TileBudget(0),
-            );
-            assert_eq!(
-                none,
-                Err(Cancelled {
-                    tiles_done: 0,
-                    tiles_total: 7
-                }),
-                "threads {threads}"
-            );
-        }
-        // A budget covering every tile completes with exact results.
-        let full = knn_search_streamed(&queries, &refs, &cfg, 64);
-        let budgeted = knn_search_streamed_parallel_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            4,
-            &NullObserver,
-            &TileBudget(7),
+    fn scratch_is_one_block_per_worker() {
+        // One worker: the whole query set is its block.
+        assert_eq!(
+            streamed_scratch_bytes(1024, 1 << 14, 2048, 1),
+            1024 * 2048 * 4
         );
-        assert_eq!(budgeted, Ok(full));
+        // A pool: one QUERY_BLOCK×tile buffer per worker.
+        assert_eq!(
+            streamed_scratch_bytes(1024, 1 << 14, 2048, 2),
+            2 * 32 * 2048 * 4
+        );
+        // Tiles clamp to N; workers clamp to the block count.
+        assert_eq!(streamed_scratch_bytes(20, 300, 4096, 8), 20 * 300 * 4);
     }
 
     #[test]
@@ -1144,54 +1004,39 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_with_never_cancel_matches_streamed() {
-        let queries = PointSet::uniform(20, 8, 210);
-        let refs = PointSet::uniform(400, 8, 211);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_streamed(&queries, &refs, &cfg, 64);
-        let cancellable =
-            knn_search_streamed_cancellable(&queries, &refs, &cfg, 64, &NullObserver, &NeverCancel)
-                .expect("NeverCancel never trips");
-        assert_eq!(plain, cancellable);
-    }
-
-    #[test]
     fn tile_budget_stops_at_the_boundary_without_partial_results() {
-        let queries = PointSet::uniform(10, 8, 212);
-        let refs = PointSet::uniform(400, 8, 213);
+        let queries = PointSet::uniform(70, 8, 222);
+        let refs = PointSet::uniform(400, 8, 223);
         let cfg = SelectConfig::plain(QueueKind::Heap, 4);
-        // 400 refs / 64-tile = 7 tiles; admit 3.
-        let out = knn_search_streamed_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            &NullObserver,
-            &TileBudget(3),
-        );
-        assert_eq!(
-            out,
-            Err(Cancelled {
-                tiles_done: 3,
-                tiles_total: 7
-            })
-        );
-        // A zero budget stops before any tile.
-        let none = knn_search_streamed_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            &NullObserver,
-            &TileBudget(0),
-        );
-        assert_eq!(
-            none,
-            Err(Cancelled {
-                tiles_done: 0,
-                tiles_total: 7
-            })
-        );
+        let run = |threads: usize, budget: usize| {
+            knn_search_streamed_parallel_timelined(
+                &queries,
+                &refs,
+                &cfg,
+                64,
+                threads,
+                &NullObserver,
+                &TileBudget(budget),
+                &NullTimeline,
+            )
+        };
+        let full = knn_search(&queries, &refs, &cfg);
+        // 400 refs / 64-tile = 7 tiles. Every block trips at the same
+        // boundary, so the report does not depend on the thread count.
+        for threads in [1usize, 2, 8] {
+            for budget in [0usize, 3] {
+                assert_eq!(
+                    run(threads, budget),
+                    Err(Cancelled {
+                        tiles_done: budget,
+                        tiles_total: 7
+                    }),
+                    "threads {threads} budget {budget}"
+                );
+            }
+            // A budget covering every tile completes with exact results.
+            assert_eq!(run(threads, 7), Ok(full.clone()), "threads {threads}");
+        }
     }
 
     #[test]
@@ -1248,7 +1093,7 @@ mod tests {
     #[should_panic]
     fn streamed_zero_tile_rejected() {
         let p = PointSet::uniform(2, 4, 120);
-        knn_search_streamed(&p, &p, &SelectConfig::plain(QueueKind::Heap, 1), 0);
+        knn_search_streamed_parallel(&p, &p, &SelectConfig::plain(QueueKind::Heap, 1), 0, 1);
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Property tests for the blocked distance kernel and the tile-streamed
-//! search path.
+//! executor.
 //!
-//! Four exactness contracts are exercised here:
+//! Five contracts are exercised here:
 //!
 //! 1. `block::squared_distances` must equal the scalar
 //!    `squared_distance` **bit-for-bit** for every pair — the blocked
 //!    kernel changes the iteration order over pairs, never the
 //!    accumulation order within a pair. Dimensions and sizes straddle
 //!    the LANES / QUERY_BLOCK / REF_TILE edges on purpose.
-//! 2. `knn_search_streamed` must return exactly the same neighbors as
-//!    the materialized `knn_search` for arbitrary Q/N/k/tile, including
-//!    tiles smaller than k, tiles larger than N, duplicated distances
-//!    (tie-breaking), and non-finite coordinates (overflow to +inf).
+//! 2. `knn_search_streamed_parallel` on one worker must return the
+//!    same neighbors as the materialized `knn_search` for arbitrary
+//!    Q/N/k/tile, including tiles smaller than k, tiles larger than N,
+//!    duplicated distances (tie-breaking), and non-finite coordinates
+//!    (overflow to +inf).
 //! 3. The runtime-dispatched SIMD row kernel (`simd::fill_rows`) must
 //!    reproduce both the portable 8-accumulator kernel and the scalar
 //!    reference bit-for-bit at the edge dimensions {1, 7, 8, 9, 127,
@@ -20,13 +21,16 @@
 //!    ranges straddling the REF_TILE edge, and under the non-finite
 //!    clamp policy.
 //! 4. `knn_search_streamed_parallel` must return exactly the same
-//!    neighbors as the sequential streamed path at every thread count
-//!    — the work-stealing schedule moves blocks between workers, never
-//!    the per-query merge order.
+//!    neighbors at 2 and 8 threads as on one worker — the work-stealing
+//!    schedule moves blocks between workers, never the per-query merge
+//!    order.
+//! 5. A `TileBudget` cancels the executor at exactly its boundary, and
+//!    a budget covering every tile returns the uncancelled result, at
+//!    every thread count.
 
 use knn::{
-    block, clamp_non_finite, knn_search, knn_search_streamed, knn_search_streamed_parallel, simd,
-    squared_distance, squared_norm, PointSet,
+    block, clamp_non_finite, knn_search, knn_search_streamed_parallel, simd, squared_distance,
+    squared_norm, PointSet,
 };
 use kselect::{QueueKind, SelectConfig};
 use proptest::prelude::*;
@@ -75,9 +79,10 @@ proptest! {
         }
     }
 
-    /// Tile-streamed search == materialized search, exactly (distances
-    /// AND ids), for arbitrary tile sizes including tile < k and
-    /// tile > N, with heavily duplicated coordinates to force ties.
+    /// One-worker streamed search == materialized search, exactly
+    /// (distances AND ids where the queue fixes them), for arbitrary
+    /// tile sizes including tile < k and tile > N, with heavily
+    /// duplicated coordinates to force ties.
     #[test]
     fn streamed_matches_materialized(
         qs in points(7, 5),
@@ -115,7 +120,7 @@ proptest! {
             }
             let cfg = SelectConfig::plain(kind, kk);
             let full = knn_search(&qs, &refs, &cfg);
-            let streamed = knn_search_streamed(&qs, &refs, &cfg, tile);
+            let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
             if kind == QueueKind::Insertion {
                 prop_assert_eq!(&streamed, &full, "tile {}", tile);
             } else {
@@ -130,7 +135,7 @@ proptest! {
 
     /// Non-finite inputs: coordinates at f32::MAX overflow the squared
     /// norm to +inf; the clamp_non_finite policy must apply identically
-    /// on the streamed and materialized paths.
+    /// on the one-worker streamed and materialized paths.
     #[test]
     fn streamed_matches_materialized_non_finite(
         poison in proptest::collection::vec(0usize..64, 4),
@@ -144,7 +149,7 @@ proptest! {
         let refs = PointSet::from_flat(flat, 4);
         let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
         let full = knn_search(&qs, &refs, &cfg);
-        let streamed = knn_search_streamed(&qs, &refs, &cfg, tile);
+        let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
         prop_assert_eq!(streamed, full);
     }
 
@@ -220,8 +225,8 @@ proptest! {
         }
     }
 
-    /// The parallel streamed pipeline returns *identical* neighbors —
-    /// distances and ids — at thread counts 1, 2 and 8, for query
+    /// The streamed executor returns *identical* neighbors — distances
+    /// and ids — at thread counts 2 and 8 as on one worker, for query
     /// counts straddling the QUERY_BLOCK = 32 scheduling unit, tiles
     /// straddling REF_TILE, and every queue kind. Heavily quantized
     /// coordinates force distance ties, so this also proves the merge
@@ -255,12 +260,12 @@ proptest! {
                 continue;
             }
             let cfg = SelectConfig::plain(kind, k);
-            let sequential = knn_search_streamed(&queries, &refs, &cfg, tile);
-            for threads in [1usize, 2, 8] {
+            let one = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
+            for threads in [2usize, 8] {
                 let parallel =
                     knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
                 prop_assert_eq!(
-                    &parallel, &sequential,
+                    &parallel, &one,
                     "kind {:?} tile {} threads {}", kind, tile, threads
                 );
             }
@@ -295,15 +300,13 @@ proptest! {
         prop_assert_eq!(timelined, plain);
     }
 
-    /// Non-finite inputs flow through the parallel path exactly as
-    /// through the sequential one: poisoned references clamp to the
-    /// same bits and land in the same merge positions at every thread
-    /// count.
+    /// Non-finite inputs flow through a worker pool exactly as through
+    /// one worker: poisoned references clamp to the same bits and land
+    /// in the same merge positions at 2 and 8 threads.
     #[test]
     fn parallel_streamed_non_finite_identical(
         poison in proptest::collection::vec(0usize..64, 4),
         tile in 1usize..80,
-        threads in 1usize..9,
     ) {
         let qs = PointSet::uniform(37, 4, 7); // straddles QUERY_BLOCK
         let mut flat = PointSet::uniform(64, 4, 8).as_flat().to_vec();
@@ -312,9 +315,50 @@ proptest! {
         }
         let refs = PointSet::from_flat(flat, 4);
         let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let sequential = knn_search_streamed(&qs, &refs, &cfg, tile);
-        let parallel = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
-        prop_assert_eq!(parallel, sequential);
+        let one = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
+        for threads in [2usize, 8] {
+            let parallel = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
+            prop_assert_eq!(&parallel, &one, "threads {}", threads);
+        }
+    }
+
+    /// `TileBudget(b)` stops the executor before tile `b`: every block
+    /// trips at the same boundary, so below the tile count the search
+    /// reports exactly `Cancelled { tiles_done: b, tiles_total }` and
+    /// returns no partial results, and from the tile count up it
+    /// returns the uncancelled neighbors — at every thread count.
+    #[test]
+    fn tile_budget_cancels_at_its_boundary_at_any_thread_count(
+        q in 1usize..70,
+        n in 1usize..300,
+        tile in 1usize..120,
+        budget_raw in 0usize..400,
+        seed in 0u64..1000,
+    ) {
+        use knn::{knn_search_streamed_parallel_timelined, Cancelled, NullObserver, TileBudget};
+        use trace::NullTimeline;
+        let queries = PointSet::uniform(q, 4, seed);
+        let refs = PointSet::uniform(n, 4, seed ^ 0xCA7);
+        let cfg = SelectConfig::plain(QueueKind::Heap, 4.min(n));
+        let tiles_total = n.div_ceil(tile);
+        // Half the cases land below the tile count, half at or above it.
+        let budget = budget_raw % (2 * tiles_total + 1);
+        let full = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
+        for threads in [1usize, 2, 8] {
+            let out = knn_search_streamed_parallel_timelined(
+                &queries, &refs, &cfg, tile, threads,
+                &NullObserver, &TileBudget(budget), &NullTimeline,
+            );
+            if budget < tiles_total {
+                prop_assert_eq!(
+                    out,
+                    Err(Cancelled { tiles_done: budget, tiles_total }),
+                    "threads {}", threads
+                );
+            } else {
+                prop_assert_eq!(out.as_ref(), Ok(&full), "threads {}", threads);
+            }
+        }
     }
 }
 
@@ -327,8 +371,8 @@ proptest! {
 #[cfg(feature = "metrics")]
 mod journaled {
     use super::*;
-    use knn::metered::knn_search_streamed_parallel_journaled;
-    use trace::{EventJournal, JournalConfig, QueryRecord};
+    use knn::metered::knn_search_streamed_parallel_instrumented;
+    use trace::{EventJournal, JournalConfig, NullTimeline, QueryRecord};
 
     /// The deterministic projection of a record: everything except the
     /// measured nanoseconds and the admission sequence number.
@@ -367,8 +411,8 @@ mod journaled {
                 // of skipping so tiny n still exercises the journal.
                 let cfg = SelectConfig::plain(QueueKind::Insertion, n);
                 let journal = EventJournal::new(JournalConfig::default());
-                knn_search_streamed_parallel_journaled(
-                    &queries, &refs, &cfg, tile, 2, &journal, None, "prop",
+                knn_search_streamed_parallel_instrumented(
+                    &queries, &refs, &cfg, tile, 2, &journal, None, "prop", &NullTimeline,
                 );
                 prop_assert_eq!(journal.snapshot().len(), q);
                 return Ok(());
@@ -377,8 +421,8 @@ mod journaled {
             let mut baseline: Option<Vec<_>> = None;
             for threads in [1usize, 2, 8] {
                 let journal = EventJournal::new(JournalConfig::default());
-                knn_search_streamed_parallel_journaled(
-                    &queries, &refs, &cfg, tile, threads, &journal, None, "prop",
+                knn_search_streamed_parallel_instrumented(
+                    &queries, &refs, &cfg, tile, threads, &journal, None, "prop", &NullTimeline,
                 );
                 let snap = journal.snapshot();
                 prop_assert_eq!(snap.len(), q, "one record per query at {} threads", threads);

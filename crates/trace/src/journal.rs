@@ -270,6 +270,22 @@ impl Journal for NullJournal {
     fn record(&self, _rec: QueryRecord) {}
 }
 
+/// An optional journal: `None` behaves as [`NullJournal`], so a caller
+/// holding `Option<EventJournal>` passes `&journal.as_ref()` instead of
+/// branching on it.
+impl<J: Journal> Journal for Option<&J> {
+    #[inline]
+    fn enabled(&self) -> bool {
+        self.is_some_and(|j| j.enabled())
+    }
+    #[inline]
+    fn record(&self, rec: QueryRecord) {
+        if let Some(j) = self {
+            j.record(rec);
+        }
+    }
+}
+
 /// Construction parameters for [`EventJournal`].
 #[derive(Clone, Copy, Debug)]
 pub struct JournalConfig {
@@ -501,6 +517,18 @@ mod tests {
             attempts: 1,
             ..QueryRecord::default()
         }
+    }
+
+    #[test]
+    fn an_absent_journal_is_disabled_and_a_present_one_forwards() {
+        let none: Option<&EventJournal> = None;
+        assert!(!none.enabled());
+        none.record(rec(0, 1));
+        let j = EventJournal::new(JournalConfig::default());
+        let some = Some(&j);
+        assert!(some.enabled());
+        some.record(rec(7, 1));
+        assert_eq!(j.snapshot()[0].query, 7);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`crate::Tracer`]'s clock only moves when instrumented code advances
 //! it by modelled durations. This module is the complementary face: a
 //! thread-safe [`MetricsRegistry`] that measures the native pipeline
-//! (`knn_search`, `knn_search_streamed`, the blocked distance kernel)
-//! with monotonic host wall clock, usable concurrently from rayon
-//! workers.
+//! (`knn_search`, the streamed executor `knn_search_streamed_parallel`,
+//! the blocked distance kernel) with monotonic host wall clock, usable
+//! concurrently from the executor's workers.
 //!
 //! Primitives:
 //!

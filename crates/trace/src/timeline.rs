@@ -72,6 +72,40 @@ pub struct NullTimeline;
 
 impl TimelineHooks for NullTimeline {}
 
+/// An optional timeline: `None` behaves as [`NullTimeline`].
+impl<T: TimelineHooks> TimelineHooks for Option<&T> {
+    fn worker_started(&self, worker: usize) {
+        if let Some(t) = self {
+            t.worker_started(worker);
+        }
+    }
+    fn scratch_reserved(&self, worker: usize, bytes: u64) {
+        if let Some(t) = self {
+            t.scratch_reserved(worker, bytes);
+        }
+    }
+    fn block_claimed(&self, worker: usize, block: usize) {
+        if let Some(t) = self {
+            t.block_claimed(worker, block);
+        }
+    }
+    fn tile_walked(&self, worker: usize, block: usize, tile: usize) {
+        if let Some(t) = self {
+            t.tile_walked(worker, block, tile);
+        }
+    }
+    fn block_finished(&self, worker: usize, block: usize, tiles: usize) {
+        if let Some(t) = self {
+            t.block_finished(worker, block, tiles);
+        }
+    }
+    fn worker_finished(&self, worker: usize) {
+        if let Some(t) = self {
+            t.worker_finished(worker);
+        }
+    }
+}
+
 /// What a [`TrackSpan`] covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
@@ -626,6 +660,22 @@ mod tests {
         // imbalance = 160 / 130
         assert!((report.imbalance - 160.0 / 130.0).abs() < 1e-12);
         assert_eq!(w0.scratch_peak_bytes, 4096);
+    }
+
+    #[test]
+    fn an_absent_timeline_is_silent_and_a_present_one_forwards() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        #[derive(Default)]
+        struct Count(AtomicUsize);
+        impl TimelineHooks for Count {
+            fn block_claimed(&self, _worker: usize, _block: usize) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let hooks = Count::default();
+        None::<&Count>.block_claimed(0, 0);
+        Some(&hooks).block_claimed(0, 0);
+        assert_eq!(hooks.0.load(Ordering::Relaxed), 1);
     }
 
     #[test]
