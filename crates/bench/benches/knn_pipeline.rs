@@ -57,15 +57,18 @@ fn bench_pipeline(c: &mut Criterion) {
     g.bench_function("distance_matrix", |b| {
         b.iter(|| black_box(distance_matrix(black_box(&queries), black_box(&refs))))
     });
-    g.bench_function("end_to_end_merge_optimized_k64", |b| {
+    // `knn_search` is the block-claim executor at the default tile on
+    // every available core; the last row pins one worker and a
+    // 1024-reference tile.
+    g.bench_function("knn_search_merge_optimized_k64", |b| {
         let cfg = SelectConfig::optimized(QueueKind::Merge, 64);
         b.iter(|| black_box(knn_search(black_box(&queries), black_box(&refs), &cfg)))
     });
-    g.bench_function("end_to_end_insertion_plain_k64", |b| {
+    g.bench_function("knn_search_insertion_plain_k64", |b| {
         let cfg = SelectConfig::plain(QueueKind::Insertion, 64);
         b.iter(|| black_box(knn_search(black_box(&queries), black_box(&refs), &cfg)))
     });
-    g.bench_function("end_to_end_streamed_merge_k64_tile1024", |b| {
+    g.bench_function("streamed_merge_k64_tile1024_1thread", |b| {
         let cfg = SelectConfig::optimized(QueueKind::Merge, 64);
         b.iter(|| {
             black_box(knn_search_streamed_parallel(

@@ -52,7 +52,6 @@ use std::time::Instant;
 
 use knn::{block, knn_search_streamed_parallel, PointSet};
 use kselect::{QueueKind, SelectConfig};
-use rayon::prelude::*;
 use serde::Serialize;
 use trace::MetricsRegistry;
 
@@ -274,7 +273,6 @@ fn main() {
     let (t_mat, mat_neighbors) = time_best(1, &reg, "wallclock.pipeline.materialized_ns", || {
         let m = block::squared_distances(&queries, &refs);
         (0..m.q())
-            .into_par_iter()
             .map(|qi| kselect::select_k(m.row(qi), &cfg))
             .collect::<Vec<_>>()
     });

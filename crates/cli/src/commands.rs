@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use knn::{validate_points, Metric, PointSet};
+use knn::{validate_points, PointSet};
 use kselect::gpu::{gpu_select_k, DistanceMatrix, GpuResilience};
 use kselect::{select_k, KnnError, QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
@@ -249,13 +249,6 @@ pub fn run(cmd: Command) -> i32 {
             let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
             let jn = make_journal(&journal);
             let workers = knn::resolve_threads(threads);
-            let parallel = workers > 1 && metric == Metric::SquaredEuclidean;
-            if workers > 1 && !parallel {
-                eprintln!(
-                    "note: --threads applies to the squared-euclidean streamed pipeline \
-                     only; {metric:?} runs sequentially"
-                );
-            }
             if let Some(reg) = &registry {
                 record_runtime_config(reg, workers);
             }
@@ -264,35 +257,18 @@ pub fn run(cmd: Command) -> i32 {
                 .map(|_| trace::TimelineRecorder::new(workers));
             let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
             let t0 = Instant::now();
-            let mut results = if parallel {
-                knn::metered::knn_search_streamed_parallel_instrumented(
-                    &queries,
-                    &refs,
-                    &cfg,
-                    knn::DEFAULT_STREAM_TILE,
-                    workers,
-                    &jn.as_ref(),
-                    registry.as_ref(),
-                    "search",
-                    &tlo.as_ref(),
-                )
-            } else {
-                let run = || {
-                    knn::metered::knn_search_with_journaled(
-                        &queries,
-                        &refs,
-                        &cfg,
-                        metric,
-                        &jn.as_ref(),
-                        registry.as_ref(),
-                        "search",
-                    )
-                };
-                match &tlo {
-                    Some(tl) => tl.service(0, 0, run),
-                    None => run(),
-                }
-            };
+            let mut results = knn::metered::knn_search_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                metric,
+                knn::DEFAULT_STREAM_TILE,
+                workers,
+                &jn.as_ref(),
+                registry.as_ref(),
+                "search",
+                &tlo.as_ref(),
+            );
             for r in &mut results {
                 r.truncate(k);
             }

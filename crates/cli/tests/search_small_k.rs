@@ -72,8 +72,8 @@ fn merge_queue_search_with_k_below_eight_prints_k_neighbours() {
         assert_eq!(ids.split(',').count(), 4, "{row}");
     }
 
-    // Every k below the capacity unit, on the row path and the
-    // streamed executor: k (id, distance) pairs per query.
+    // Every k below the capacity unit, at one and two threads: k
+    // (id, distance) pairs per query.
     for k in 1..=4 {
         for threads in [1, 2] {
             let out = search(&refs, &queries, k, threads, true);

@@ -20,6 +20,8 @@ pub enum KnnError {
     InvalidK { k: usize, n: usize },
     /// Points with zero dimensions carry no information to search.
     ZeroDim,
+    /// The query and reference points have different dimensionalities.
+    DimMismatch { query: usize, reference: usize },
     /// An input coordinate was NaN or infinite. `kind` says which side
     /// (`"query"` / `"reference"`), `index` which point.
     NonFiniteInput { kind: &'static str, index: usize },
@@ -53,6 +55,7 @@ impl KnnError {
         match self {
             KnnError::InvalidK { .. } => "invalid-k",
             KnnError::ZeroDim => "zero-dim",
+            KnnError::DimMismatch { .. } => "dim-mismatch",
             KnnError::NonFiniteInput { .. } => "non-finite-input",
             KnnError::MergeShape { .. } => "merge-shape",
             KnnError::BufferTooLarge { .. } => "buffer-too-large",
@@ -75,6 +78,12 @@ impl core::fmt::Display for KnnError {
                 )
             }
             KnnError::ZeroDim => f.write_str("points must have at least one dimension"),
+            KnnError::DimMismatch { query, reference } => {
+                write!(
+                    f,
+                    "query points have {query} dimensions but reference points have {reference}"
+                )
+            }
             KnnError::NonFiniteInput { kind, index } => {
                 write!(f, "{kind} point {index} contains a non-finite coordinate")
             }
@@ -145,6 +154,14 @@ mod tests {
                 },
                 "non-finite-input",
                 "query point 3",
+            ),
+            (
+                KnnError::DimMismatch {
+                    query: 4,
+                    reference: 8,
+                },
+                "dim-mismatch",
+                "4 dimensions",
             ),
             (KnnError::MergeShape { k: 24, m: 8 }, "merge-shape", "m·2^j"),
             (

@@ -19,7 +19,8 @@
 //!
 //! * **native** (this crate's top level) — scalar Rust, used as the
 //!   correctness oracle and as a genuinely fast CPU k-selection library
-//!   (see the `knn` crate for the rayon-parallel pipeline);
+//!   (see the `knn` crate for the block-claim search executor that runs
+//!   it on every core);
 //! * **simulated GPU** ([`gpu`]) — warp-synchronous kernels over the
 //!   [`simt`] simulator, reproducing the paper's measurements (branch
 //!   divergence, coalescing, intra-warp communication).

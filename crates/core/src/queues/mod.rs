@@ -5,7 +5,7 @@
 //! queue**, and the paper's **Merge Queue**. They serve three roles:
 //!
 //! 1. correctness oracles for the simulated GPU kernels;
-//! 2. the building block of the native (rayon) k-NN library in the `knn`
+//! 2. the building block of the native k-NN search executor in the `knn`
 //!    crate;
 //! 3. the instrumented subjects of Fig. 5 (update counts per position) via
 //!    the [`UpdateSink`] hook.

@@ -2,15 +2,17 @@
 //!
 //! The paper parallelises the C++ standard-library heap across 16 Xeon
 //! cores with OpenMP. The Rust equivalent: `std::collections::BinaryHeap`
-//! as a bounded max-heap per query, fanned across queries with rayon.
+//! as a bounded max-heap per query, fanned across queries on every
+//! available core.
 //! These run for real (no simulation) and are also the reference the
 //! integration tests trust.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 use kselect::types::{sort_neighbors, Neighbor};
-use rayon::prelude::*;
 
 use crate::distance::block::FlatMatrix;
 
@@ -69,10 +71,10 @@ pub fn cpu_select_serial(rows: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
     rows.iter().map(|r| heap_select(r, k)).collect()
 }
 
-/// Parallel CPU k-selection over all queries ("CPU 16" — uses however
-/// many cores rayon has).
+/// Parallel CPU k-selection over all queries ("CPU 16" — uses every
+/// available core, see [`crate::resolve_threads`]).
 pub fn cpu_select_parallel(rows: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
-    rows.par_iter().map(|r| heap_select(r, k)).collect()
+    select_on_all_cores(rows.len(), |qi| &rows[qi], k)
 }
 
 /// [`cpu_select_serial`] over a flat distance matrix — no per-query row
@@ -83,9 +85,29 @@ pub fn cpu_select_serial_flat(m: &FlatMatrix, k: usize) -> Vec<Vec<Neighbor>> {
 
 /// [`cpu_select_parallel`] over a flat distance matrix.
 pub fn cpu_select_parallel_flat(m: &FlatMatrix, k: usize) -> Vec<Vec<Neighbor>> {
-    (0..m.q())
-        .into_par_iter()
-        .map(|qi| heap_select(m.row(qi), k))
+    select_on_all_cores(m.q(), |qi| m.row(qi), k)
+}
+
+/// [`heap_select`] of rows `0..q` on every available core: workers claim
+/// one query at a time from a shared cursor and fill that query's slot.
+fn select_on_all_cores<'a>(
+    q: usize,
+    row: impl Fn(usize) -> &'a [f32] + Sync,
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Vec<Neighbor>>> = (0..q).map(|_| OnceLock::new()).collect();
+    rayon::scope_broadcast(crate::resolve_threads(0).min(q), |_| loop {
+        let qi = next.fetch_add(1, AtomicOrdering::Relaxed);
+        if qi >= q {
+            return;
+        }
+        // Each query is claimed exactly once, so its slot is empty.
+        let _ = slots[qi].set(heap_select(row(qi), k));
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_default())
         .collect()
 }
 
@@ -115,12 +137,8 @@ mod tests {
         let r = rows(40, 500, 6);
         let a = cpu_select_serial(&r, 8);
         let b = cpu_select_parallel(&r, 8);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            let xd: Vec<f32> = x.iter().map(|n| n.dist).collect();
-            let yd: Vec<f32> = y.iter().map(|n| n.dist).collect();
-            assert_eq!(xd, yd);
-        }
+        assert_eq!(a, b);
+        assert!(cpu_select_parallel(&[], 8).is_empty());
     }
 
     #[test]

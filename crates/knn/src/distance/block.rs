@@ -11,13 +11,11 @@
 //! dimension, norms are hoisted and computed once per point, and the
 //! whole matrix is written into a single flat row-major buffer.
 //!
-//! Blocking: query rows are split into per-worker slabs
-//! (rayon-parallel) and references into [`REF_TILE`]-sized tiles walked
-//! in the outer loop, so one tile of reference rows stays
-//! cache-resident while every query row in the slab streams over it —
-//! the reference set is read once per slab instead of once per
-//! [`QUERY_BLOCK`]. (The streamed executor still deals a worker pool
-//! `QUERY_BLOCK`-query blocks; only this materialising kernel is
+//! Blocking: references are walked in [`REF_TILE`]-sized tiles in the
+//! outer loop, so one tile of reference rows stays cache-resident while
+//! every query row streams over it — the reference set is read once per
+//! call instead of once per query. (The streamed executor deals workers
+//! [`QUERY_BLOCK`]-query blocks; only this materialising kernel is
 //! tile-outer.) The inner reduction is [`crate::distance::dot`] —
 //! [`crate::distance::LANES`] independent accumulators over
 //! `chunks_exact`, which autovectorizes — and is *the same function* the
@@ -29,13 +27,11 @@
 //! primitives here to compute one reference tile at a time into a
 //! reused scratch buffer, never materialising the Q×N matrix.
 
-use rayon::prelude::*;
-
 use crate::dataset::PointSet;
 use crate::distance::{simd, squared_norm};
 
-/// Queries per parallel work unit (per streamed block when more than one
-/// worker runs). 32 rows of dim ≤ 512 stay within L1/L2 alongside one
+/// Queries per streamed block, the executor's unit of work at every
+/// worker count. 32 rows of dim ≤ 512 stay within L1/L2 alongside one
 /// reference tile.
 pub const QUERY_BLOCK: usize = 32;
 
@@ -44,9 +40,8 @@ pub const QUERY_BLOCK: usize = 32;
 pub const REF_TILE: usize = 256;
 
 /// Default reference-tile length (elements per query per chunk) of the
-/// streamed executor. Each pool worker's scratch is `QUERY_BLOCK ×
-/// DEFAULT_STREAM_TILE` floats (a lone worker's is `Q ×
-/// DEFAULT_STREAM_TILE`); 2048 keeps a pool worker's at 256 KiB while
+/// streamed executor. Each worker's scratch is `QUERY_BLOCK ×
+/// DEFAULT_STREAM_TILE` floats; 2048 keeps it at 256 KiB while
 /// still amortising the per-tile selection merge for typical `k ≤ 512`.
 ///
 /// Chosen empirically: `wallclock --sweep-tiles` (Q=1024, N=2^14,
@@ -127,7 +122,6 @@ impl FlatMatrix {
 /// of the decomposition.
 pub fn norms(points: &PointSet) -> Vec<f32> {
     (0..points.len())
-        .into_par_iter()
         .map(|i| squared_norm(points.point(i)))
         .collect()
 }
@@ -136,8 +130,8 @@ pub fn norms(points: &PointSet) -> Vec<f32> {
 /// against the reference range starting at `r0`. `norm_q` and
 /// `ref_norms` are the precomputed squared norms (`ref_norms` indexed by
 /// absolute reference id). This is the inner row primitive shared by the
-/// materialising kernel, the per-query search path and the tile-streamed
-/// path — one call site for the arithmetic keeps all of them bit-equal.
+/// materialising kernel and the executor's squared Euclidean fill — one
+/// call site for the arithmetic keeps them bit-equal.
 /// The arithmetic itself lives in [`crate::distance::simd`], which
 /// dispatches at runtime between the AVX2 vector kernel and the
 /// portable scalar kernel; both reproduce the scalar reference bit for
@@ -156,10 +150,8 @@ pub fn fill_row_range(
 }
 
 /// The blocked kernel: the full Q×N squared-distance matrix as a flat
-/// row-major [`FlatMatrix`], parallel over per-worker slabs of query
-/// rows, tile-outer over [`REF_TILE`]-sized reference tiles within
-/// each slab (each tile is read once per slab, not once per
-/// [`QUERY_BLOCK`]).
+/// row-major [`FlatMatrix`], tile-outer over [`REF_TILE`]-sized
+/// reference tiles (each tile is read once, not once per query).
 ///
 /// Output is bit-identical to calling
 /// `clamp_non_finite(squared_distance(q, r))` per pair.
@@ -173,34 +165,22 @@ pub fn squared_distances(queries: &PointSet, refs: &PointSet) -> FlatMatrix {
     let ref_norms = norms(refs);
     let q_norms = norms(queries);
     let mut data = vec![0.0f32; q * n];
-    // One contiguous slab of whole query rows per worker, so the
-    // parallel split stays balanced and each worker owns a disjoint
-    // region of the output.
-    let workers = crate::pipeline::resolve_threads(0).clamp(1, q.max(1));
-    let rows_per = q.div_ceil(workers).max(1);
-    let slabs: Vec<(usize, &mut [f32])> =
-        data.chunks_mut((rows_per * n).max(1)).enumerate().collect();
-    slabs.into_par_iter().for_each(|(si, slab)| {
-        let q0 = si * rows_per;
-        // Tile-outer: each REF_TILE-sized slice of the reference set is
-        // pulled into cache once per slab and reused across every query
-        // row in the slab, instead of once per QUERY_BLOCK — for large
-        // N that divides the reference re-read traffic by the slab's
-        // row count. Fill order changes; per-pair bits do not.
-        for r0 in (0..n).step_by(REF_TILE) {
-            let t_len = REF_TILE.min(n - r0);
-            for (i, row) in slab.chunks_exact_mut(n.max(1)).enumerate() {
-                fill_row_range(
-                    queries.point(q0 + i),
-                    q_norms[q0 + i],
-                    refs,
-                    &ref_norms,
-                    r0,
-                    &mut row[r0..r0 + t_len],
-                );
-            }
+    // Tile-outer: each REF_TILE-sized slice of the reference set is
+    // pulled into cache once and reused across every query row. Fill
+    // order changes; per-pair bits do not.
+    for r0 in (0..n).step_by(REF_TILE) {
+        let t_len = REF_TILE.min(n - r0);
+        for (qi, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+            fill_row_range(
+                queries.point(qi),
+                q_norms[qi],
+                refs,
+                &ref_norms,
+                r0,
+                &mut row[r0..r0 + t_len],
+            );
         }
-    });
+    }
     FlatMatrix::from_flat(data, q, n)
 }
 

@@ -7,14 +7,13 @@
 //! work) and for the integration tests that assert exactness.
 
 use kselect::types::Neighbor;
-use rayon::prelude::*;
 
 use crate::dataset::PointSet;
 use crate::metric::{distance_matrix_flat_with, Metric};
 
-/// Exact k-NN ground truth by full sort, for every query. Each worker
-/// sorts in one reused row buffer, and each returned row holds only its
-/// k neighbors.
+/// Exact k-NN ground truth by full sort, for every query: ascending by
+/// distance, ties by id. Every query sorts in one reused row buffer, and
+/// each returned row holds only its k neighbors.
 pub fn ground_truth(
     queries: &PointSet,
     refs: &PointSet,
@@ -22,9 +21,9 @@ pub fn ground_truth(
     metric: Metric,
 ) -> Vec<Vec<Neighbor>> {
     let m = distance_matrix_flat_with(queries, refs, metric);
+    let mut row: Vec<Neighbor> = Vec::with_capacity(m.n());
     (0..m.q())
-        .into_par_iter()
-        .map_init(Vec::new, |row: &mut Vec<Neighbor>, qi| {
+        .map(|qi| {
             row.clear();
             row.extend(
                 m.row(qi)
@@ -32,7 +31,7 @@ pub fn ground_truth(
                     .enumerate()
                     .map(|(i, &d)| Neighbor::new(d, i as u32)),
             );
-            kselect::types::sort_neighbors(row);
+            kselect::types::sort_neighbors(&mut row);
             row[..k.min(row.len())].to_vec()
         })
         .collect()

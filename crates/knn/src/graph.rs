@@ -4,16 +4,14 @@
 //! (3D reconstruction match graphs, manifold learning).
 //!
 //! A k-NNG connects every point of a set to its k nearest *other* points.
-//! Construction is all-pairs k-NN with self-exclusion, parallel over
-//! points.
+//! Construction is all-pairs k-NN with self-exclusion, one reused
+//! distance row per point.
 
 use kselect::types::Neighbor;
 use kselect::{select_k, SelectConfig};
-use rayon::prelude::*;
 
 use crate::dataset::PointSet;
-use crate::distance::block;
-use crate::metric::Metric;
+use crate::metric::{Metric, RowFill};
 
 /// A directed k-NN graph: `edges[i]` are point `i`'s k nearest others,
 /// ascending by distance.
@@ -32,32 +30,18 @@ impl KnnGraph {
     /// there are other points).
     pub fn build(points: &PointSet, k: usize, metric: Metric, cfg: &SelectConfig) -> Self {
         assert!(k > 0 && k < points.len(), "need 0 < k < number of points");
-        let n = points.len();
-        // Hoisted ‖·‖² terms for the GEMM-decomposed Euclidean path;
-        // other metrics fall back to the pairwise form.
-        let norms = match metric {
-            Metric::SquaredEuclidean => block::norms(points),
-            _ => Vec::new(),
-        };
-        let edges: Vec<Vec<Neighbor>> = (0..n)
-            .into_par_iter()
-            .map_init(
-                || vec![0.0f32; n],
-                |dists, i| {
-                    let pi = points.point(i);
-                    if metric == Metric::SquaredEuclidean {
-                        block::fill_row_range(pi, norms[i], points, &norms, 0, dists);
-                    } else {
-                        for (j, d) in dists.iter_mut().enumerate() {
-                            *d = metric.distance(pi, points.point(j));
-                        }
-                    }
-                    dists[i] = f32::INFINITY; // self-exclusion
-                    let mut nbs = select_k(dists, cfg);
-                    nbs.truncate(k);
-                    nbs
-                },
-            )
+        // The executor's fill: distances clamp to the crate's
+        // non-finite policy under every metric.
+        let fill = RowFill::new(metric, points, points);
+        let mut dists = vec![0.0f32; points.len()];
+        let edges: Vec<Vec<Neighbor>> = (0..points.len())
+            .map(|i| {
+                fill.fill(i, 0, &mut dists);
+                dists[i] = f32::INFINITY; // self-exclusion
+                let mut nbs = select_k(&dists, cfg);
+                nbs.truncate(k);
+                nbs
+            })
             .collect();
         KnnGraph { edges, k }
     }
@@ -189,6 +173,48 @@ mod tests {
         let g = KnnGraph::build(&pts, 10, Metric::SquaredEuclidean, &cfg(10));
         assert_eq!(g.connected_components(), 1);
         assert_eq!(g.k(), 10);
+    }
+
+    #[test]
+    fn non_finite_distances_follow_the_search_policy() {
+        // Point 0 overflows every dot product and norm it enters: under
+        // NegativeDot its distances would be -inf (nearest to everyone)
+        // without the clamp; the search ranks them +inf (farthest).
+        let mut flat = PointSet::uniform(40, 4, 405).as_flat().to_vec();
+        flat[0] = f32::MAX;
+        flat[1] = f32::MAX;
+        flat[7 * 4 + 2] = f32::MAX;
+        let pts = PointSet::from_flat(flat, 4);
+        let k = 5;
+        let cfg = SelectConfig::plain(QueueKind::Insertion, k);
+        let wide = SelectConfig::plain(QueueKind::Insertion, k + 1);
+        for metric in [Metric::NegativeDot, Metric::Cosine] {
+            let g = KnnGraph::build(&pts, k, metric, &cfg);
+            let search = crate::knn_search_with(&pts, &pts, &wide, metric);
+            for (i, row) in search.iter().enumerate() {
+                let expect: Vec<Neighbor> = row
+                    .iter()
+                    .filter(|nb| nb.id as usize != i)
+                    .take(k)
+                    .copied()
+                    .collect();
+                let got = g.neighbors(i);
+                let bits =
+                    |v: &[Neighbor]| v.iter().map(|nb| nb.dist.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&expect), "{metric:?} vertex {i}");
+                // Ids are fixed wherever the distance is; +inf ties may
+                // resolve to self on the graph side.
+                for (a, b) in got.iter().zip(&expect) {
+                    if a.dist.is_finite() {
+                        assert_eq!(a.id, b.id, "{metric:?} vertex {i}");
+                    }
+                }
+            }
+            assert!(
+                g.neighbors(5).iter().all(|nb| nb.dist > f32::NEG_INFINITY),
+                "{metric:?}: no -inf edge"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! # knn — the k-NN pipeline around k-selection
 //!
 //! The substrate the paper's evaluation runs on: synthetic datasets
-//! ([`dataset`]), Euclidean distance matrices ([`distance`]) with both a
-//! real rayon implementation and an analytic simulated-GPU cost model,
-//! CPU k-selection baselines ([`cpu`], the paper's "CPU 1"/"CPU 16"
-//! rows), the PCIe transfer model ([`pcie`], the "Data Copy" row), and
-//! end-to-end pipelines ([`pipeline`]).
+//! ([`dataset`]), distance matrices ([`distance`], [`metric`]) with both
+//! a native SIMD kernel and an analytic simulated-GPU cost model, CPU
+//! k-selection baselines ([`cpu`], the paper's "CPU 1"/"CPU 16" rows),
+//! the PCIe transfer model ([`pcie`], the "Data Copy" row), and
+//! end-to-end pipelines ([`pipeline`]): one native block-claim executor
+//! for every metric and thread count, and the simulated-GPU pipeline.
 //!
 //! ```
 //! use knn::{PointSet, knn_search};
@@ -43,7 +44,7 @@ pub use eval::{ground_truth, mean_recall, recall_at_k};
 pub use graph::KnnGraph;
 #[cfg(feature = "metrics")]
 pub use metered::{
-    knn_search_streamed_parallel_instrumented, knn_search_with_journaled, JournalObserver,
+    knn_search_instrumented, knn_search_streamed_parallel_instrumented, JournalObserver,
     RegistryObserver, TimelineObserver,
 };
 pub use metric::{distance_matrix_flat_with, distance_matrix_with, Metric};
@@ -52,7 +53,6 @@ pub use pipeline::{
     gpu_knn, gpu_knn_resilient, gpu_knn_resilient_deadline, gpu_knn_resilient_journaled,
     gpu_knn_traced, knn_search, knn_search_streamed_parallel,
     knn_search_streamed_parallel_observed, knn_search_streamed_parallel_timelined, knn_search_with,
-    knn_search_with_observed, queue_tag, resolve_threads, streamed_scratch_bytes, validate_points,
-    CancelToken, Cancelled, GpuKnnResult, NeverCancel, NullObserver, Phase, PhaseObserver,
-    ResilientKnnResult, TileBudget,
+    queue_tag, resolve_threads, streamed_scratch_bytes, validate_points, CancelToken, Cancelled,
+    GpuKnnResult, NeverCancel, NullObserver, Phase, PhaseObserver, ResilientKnnResult, TileBudget,
 };

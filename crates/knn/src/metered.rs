@@ -3,37 +3,34 @@
 //!
 //! This is the bridge between the pipeline's [`PhaseObserver`] hooks
 //! and `trace::metrics::MetricsRegistry`: every phase gets a wall-clock
-//! latency histogram, the streamed executor reports its scratch
-//! high-water mark and [`kselect::chunked::StreamMerger`] push/reject
-//! totals, and the blocked distance kernel gets a timed wrapper. Only
-//! this module reads the host clock on knn's behalf — the
-//! default-feature pipeline monomorphizes the hooks away entirely.
+//! latency histogram, the executor reports its scratch high-water mark
+//! and [`kselect::chunked::StreamMerger`] push/reject totals, and the
+//! blocked distance kernel gets a timed wrapper. Only this module reads
+//! the host clock on knn's behalf — the default-feature pipeline
+//! monomorphizes the hooks away entirely.
 //!
 //! Metric names (`trace::openmetrics` sanitizes the dots for
 //! OpenMetrics output):
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
-//! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
-//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the streamed executor |
+//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the executor |
 //! | `knn.tile.merge_ns` | histogram | stream merge per query × tile, at every thread count |
+//! | `knn.query.latency_ns` / `knn.row.fill_ns` / `knn.row.select_ns` | histogram | names of [`Phase::Query`] / [`Phase::RowFill`] / [`Phase::RowSelect`]; no native search fires them |
 //! | `knn.distance.blocked_ns` | histogram | one full blocked-kernel invocation |
 //! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
 //! | `knn.queries` | counter | queries answered by metered searches |
 //!
-//! Two entry points cover the two native paths:
-//! [`knn_search_with_journaled`] (the materialized row path, also
-//! reachable unjournaled as [`knn_search_with_metered`]) and
-//! [`knn_search_streamed_parallel_instrumented`] (the streamed
-//! executor at any thread count). Each takes an optional journal and
-//! registry, and the streamed one a [`TimelineHooks`] implementation
-//! ([`TimelineObserver`], or [`trace::NullTimeline`] for none). A live
-//! journal gets one [`trace::QueryRecord`] per query via a
-//! [`JournalObserver`] — the same clock reads feed both the aggregate
-//! histograms and the per-query records — and a disabled journal falls
-//! straight back to the metered (or plain) observer.
+//! One entry point, [`knn_search_instrumented`], runs the executor under
+//! any metric, tile and thread count with an optional journal, an
+//! optional registry and a [`TimelineHooks`] implementation
+//! ([`TimelineObserver`], or [`trace::NullTimeline`] for none);
+//! [`knn_search_streamed_parallel_instrumented`] is its squared
+//! Euclidean form. A live journal gets one [`trace::QueryRecord`] per
+//! query via a [`JournalObserver`] — the same clock reads feed both the
+//! aggregate histograms and the per-query records — and a disabled
+//! journal falls straight back to the metered (or plain) observer.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -47,10 +44,7 @@ use trace::timeline::{SpanKind, TimelineHooks, TimelineRecorder, TimelineReport}
 use crate::dataset::PointSet;
 use crate::distance::block::{self, FlatMatrix};
 use crate::metric::Metric;
-use crate::pipeline::{
-    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, NeverCancel,
-    NullObserver, Phase, PhaseObserver,
-};
+use crate::pipeline::{queue_tag, search_uncancelled, NullObserver, Phase, PhaseObserver};
 
 /// Histogram name a [`Phase`] records under.
 pub fn phase_metric(phase: Phase) -> &'static str {
@@ -64,7 +58,7 @@ pub fn phase_metric(phase: Phase) -> &'static str {
     }
 }
 
-/// Peak distance-scratch bytes, both search paths.
+/// Peak distance-scratch bytes.
 pub const SCRATCH_PEAK_BYTES: &str = "knn.scratch.peak_bytes";
 /// Candidates pushed into the per-query stream mergers.
 pub const MERGE_PUSH: &str = "knn.stream.merge_push";
@@ -106,40 +100,10 @@ impl PhaseObserver for RegistryObserver<'_> {
     }
 }
 
-/// [`crate::knn_search_with`] recording per-query latency histograms,
-/// phase breakdowns and scratch peaks into `registry`. Same results as
-/// the unmetered path.
-pub fn knn_search_with_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_with_observed(queries, refs, cfg, metric, &RegistryObserver::new(registry))
-}
-
-/// Journal phase-name key of a pipeline [`Phase`] (`None` for the
-/// aggregate tile merge, which has no single owning query).
-fn phase_key(phase: Phase) -> Option<&'static str> {
-    match phase {
-        Phase::Query => Some(phases::QUERY),
-        Phase::RowFill => Some(phases::ROW_FILL),
-        Phase::RowSelect => Some(phases::ROW_SELECT),
-        Phase::TileFill => Some(phases::TILE_FILL),
-        Phase::TileSelect => Some(phases::TILE_SELECT),
-        Phase::TileMerge => None,
-    }
-}
-
 /// One query's accumulating measurements (tile phases sum across
 /// tiles).
 #[derive(Clone, Copy, Default)]
 struct Draft {
-    query_ns: u64,
-    row_fill_ns: u64,
-    row_select_ns: u64,
     tile_fill_ns: u64,
     tile_select_ns: u64,
     merge_push: u64,
@@ -150,12 +114,9 @@ struct Draft {
 impl Draft {
     fn add(&mut self, phase: Phase, ns: u64) {
         match phase {
-            Phase::Query => self.query_ns += ns,
-            Phase::RowFill => self.row_fill_ns += ns,
-            Phase::RowSelect => self.row_select_ns += ns,
             Phase::TileFill => self.tile_fill_ns += ns,
             Phase::TileSelect => self.tile_select_ns += ns,
-            Phase::TileMerge => {}
+            _ => {}
         }
     }
 }
@@ -185,9 +146,8 @@ impl<'a> JournalObserver<'a> {
         self.drafts[qi].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Emit one [`QueryRecord`] per query into `journal`. `tile` is 0 on
-    /// the materialized row path; `blocks` counts reference tiles
-    /// crossed per query.
+    /// Emit one [`QueryRecord`] per query into `journal`; `blocks` counts
+    /// reference tiles crossed per query.
     fn flush<J: Journal>(
         &self,
         journal: &J,
@@ -201,9 +161,6 @@ impl<'a> JournalObserver<'a> {
             let d = *slot.lock().unwrap_or_else(|e| e.into_inner());
             let mut phase_ns = Vec::new();
             for (key, ns) in [
-                (phases::QUERY, d.query_ns),
-                (phases::ROW_FILL, d.row_fill_ns),
-                (phases::ROW_SELECT, d.row_select_ns),
                 (phases::TILE_FILL, d.tile_fill_ns),
                 (phases::TILE_SELECT, d.tile_select_ns),
             ] {
@@ -211,20 +168,14 @@ impl<'a> JournalObserver<'a> {
                     phase_ns.push((key.to_string(), ns));
                 }
             }
-            // Row path: the Query envelope is the end-to-end latency.
-            // Streamed path: no envelope exists, so the per-query total
-            // is the sum of its tile phases.
-            let total_ns = if d.query_ns > 0 {
-                d.query_ns
-            } else {
-                d.tile_fill_ns + d.tile_select_ns
-            };
             journal.record(QueryRecord {
                 query: qi as u64,
                 queue: queue_tag(cfg),
                 tag: tag.to_string(),
                 tile,
-                total_ns,
+                // No per-query envelope exists: the total is the sum of
+                // the query's tile phases.
+                total_ns: d.tile_fill_ns + d.tile_select_ns,
                 phase_ns,
                 scratch_bytes,
                 merge_push: d.merge_push,
@@ -256,9 +207,7 @@ impl PhaseObserver for JournalObserver<'_> {
         if let Some(reg) = self.registry {
             reg.observe_ns(phase_metric(phase), ns);
         }
-        if phase_key(phase).is_some() {
-            self.draft(qi).add(phase, ns);
-        }
+        self.draft(qi).add(phase, ns);
         out
     }
 
@@ -286,35 +235,6 @@ impl PhaseObserver for JournalObserver<'_> {
     fn query_worker(&self, qi: usize, worker: usize) {
         self.draft(qi).worker = worker as u32;
     }
-}
-
-/// [`crate::knn_search_with`] that journals one [`QueryRecord`] per
-/// query and (when `registry` is given) feeds the aggregate histograms
-/// too. With a disabled journal ([`trace::NullJournal`]) this is
-/// exactly the metered (or, without a registry, the plain) search — no
-/// drafts are allocated and no extra clock reads happen.
-pub fn knn_search_with_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => knn_search_with_metered(queries, refs, cfg, metric, reg),
-            None => knn_search_with_observed(queries, refs, cfg, metric, &NullObserver),
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_with_observed(queries, refs, cfg, metric, &obs);
-    obs.flush(journal, cfg, tag, 0, 1);
-    out
 }
 
 /// Bridges the pipeline's clock-free [`TimelineHooks`] to a
@@ -353,11 +273,11 @@ impl<'a> TimelineObserver<'a> {
         self.rec.report(self.now_ns())
     }
 
-    /// Run `f` as one `Service` span on `worker`'s track. Paths outside
-    /// the streamed executor (the materialized row search, the selection
-    /// microbenchmark) have no block claims to record, so this is how
-    /// they get an honest busy lane; `detail` disambiguates repeated
-    /// services (the CLI uses the run index).
+    /// Run `f` as one `Service` span on `worker`'s track. Work outside
+    /// the executor (the CLI's selection microbenchmark) has no block
+    /// claims to record, so this is how it gets an honest busy lane;
+    /// `detail` disambiguates repeated services (the CLI uses the run
+    /// index).
     pub fn service<R>(&self, worker: usize, detail: u64, f: impl FnOnce() -> R) -> R {
         let t0 = self.now_ns();
         let out = f();
@@ -388,18 +308,50 @@ impl TimelineHooks for TimelineObserver<'_> {
     }
 }
 
-/// The fully instrumented streamed search: per-worker timeline hooks
-/// via `tl` ([`TimelineObserver`], or [`trace::NullTimeline`] for none),
-/// an optional journal (one [`QueryRecord`] per query: tile phases
-/// summed across tiles, per-query stream-merge push/reject counts,
-/// tiles crossed as `blocks`, the owning worker) and an optional
-/// registry. Dispatches on the journal/registry combination so one
-/// entry point serves every caller; results are identical to
-/// [`crate::knn_search_streamed_parallel`] in all cases. The
+/// The fully instrumented search under any `metric`: per-worker
+/// timeline hooks via `tl` ([`TimelineObserver`], or
+/// [`trace::NullTimeline`] for none), an optional journal (one
+/// [`QueryRecord`] per query: tile phases summed across tiles, per-query
+/// stream-merge push/reject counts, tiles crossed as `blocks`, the
+/// owning worker) and an optional registry. Dispatches on the
+/// journal/registry combination so one entry point serves every caller;
+/// results are identical to [`crate::knn_search_with`] in all cases. The
 /// [`JournalObserver`]'s per-query drafts accumulate from whichever
 /// worker owns each query's block and are flushed into records once,
 /// after the pool joins, so per-query phase sums and merge counters are
 /// exact at any thread count.
+#[allow(clippy::too_many_arguments)]
+pub fn knn_search_instrumented<J: Journal, T: TimelineHooks>(
+    queries: &PointSet,
+    refs: &PointSet,
+    cfg: &SelectConfig,
+    metric: Metric,
+    tile: usize,
+    threads: usize,
+    journal: &J,
+    registry: Option<&MetricsRegistry>,
+    tag: &str,
+    tl: &T,
+) -> Vec<Vec<Neighbor>> {
+    if let Some(reg) = registry {
+        reg.inc(QUERIES, queries.len() as u64);
+    }
+    if journal.enabled() {
+        let obs = JournalObserver::new(queries.len(), registry);
+        let out = search_uncancelled(queries, refs, cfg, metric, tile, threads, &obs, tl);
+        let eff_tile = tile.min(refs.len().max(1));
+        let blocks = refs.len().div_ceil(eff_tile) as u32;
+        obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
+        out
+    } else if let Some(reg) = registry {
+        let obs = &RegistryObserver::new(reg);
+        search_uncancelled(queries, refs, cfg, metric, tile, threads, obs, tl)
+    } else {
+        search_uncancelled(queries, refs, cfg, metric, tile, threads, &NullObserver, tl)
+    }
+}
+
+/// [`knn_search_instrumented`] by squared Euclidean distance.
 #[allow(clippy::too_many_arguments)]
 pub fn knn_search_streamed_parallel_instrumented<J: Journal, T: TimelineHooks>(
     queries: &PointSet,
@@ -412,50 +364,18 @@ pub fn knn_search_streamed_parallel_instrumented<J: Journal, T: TimelineHooks>(
     tag: &str,
     tl: &T,
 ) -> Vec<Vec<Neighbor>> {
-    fn search<O: PhaseObserver, T: TimelineHooks>(
-        queries: &PointSet,
-        refs: &PointSet,
-        cfg: &SelectConfig,
-        tile: usize,
-        threads: usize,
-        obs: &O,
-        tl: &T,
-    ) -> Vec<Vec<Neighbor>> {
-        knn_search_streamed_parallel_timelined(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            obs,
-            &NeverCancel,
-            tl,
-        )
-        .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    if journal.enabled() {
-        let obs = JournalObserver::new(queries.len(), registry);
-        let out = search(queries, refs, cfg, tile, threads, &obs, tl);
-        let eff_tile = tile.min(refs.len().max(1));
-        let blocks = refs.len().div_ceil(eff_tile) as u32;
-        obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
-        out
-    } else if let Some(reg) = registry {
-        search(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            &RegistryObserver::new(reg),
-            tl,
-        )
-    } else {
-        search(queries, refs, cfg, tile, threads, &NullObserver, tl)
-    }
+    knn_search_instrumented(
+        queries,
+        refs,
+        cfg,
+        Metric::SquaredEuclidean,
+        tile,
+        threads,
+        journal,
+        registry,
+        tag,
+        tl,
+    )
 }
 
 /// [`block::squared_distances`] with the kernel invocation timed into
@@ -487,13 +407,8 @@ mod tests {
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
         let reg = MetricsRegistry::new();
 
-        let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
-        let metered =
-            knn_search_with_metered(&queries, &refs, &cfg, Metric::SquaredEuclidean, &reg);
-        assert_eq!(metered, plain, "metering must not change results");
-
-        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
-        let streamed = knn_search_streamed_parallel_instrumented(
+        let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let metered = knn_search_streamed_parallel_instrumented(
             &queries,
             &refs,
             &cfg,
@@ -504,7 +419,7 @@ mod tests {
             "",
             &NullTimeline,
         );
-        assert_eq!(streamed, streamed_plain);
+        assert_eq!(metered, plain, "metering must not change results");
 
         let snap = reg.snapshot();
         let hist = |name: &str| {
@@ -513,15 +428,18 @@ mod tests {
                 .find(|h| h.name == name)
                 .unwrap_or_else(|| panic!("missing histogram {name}"))
         };
-        assert_eq!(hist("knn.query.latency_ns").count, 24);
-        assert_eq!(hist("knn.row.fill_ns").count, 24);
-        assert_eq!(hist("knn.row.select_ns").count, 24);
         // 400 refs / tile 100 = 4 tiles × 24 queries; merges are
         // observed per query × tile too.
         assert_eq!(hist("knn.tile.fill_ns").count, 96);
         assert_eq!(hist("knn.tile.select_ns").count, 96);
         assert_eq!(hist("knn.tile.merge_ns").count, 96);
-        assert_eq!(reg.counter(QUERIES), 48);
+        assert!(
+            snap.histograms
+                .iter()
+                .all(|h| !h.name.starts_with("knn.row")),
+            "no native search fires the row phases"
+        );
+        assert_eq!(reg.counter(QUERIES), 24);
         // every tile yields min(k, tile) survivors: 4 tiles × 16 × 24
         assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 24);
         assert_eq!(
@@ -529,8 +447,7 @@ mod tests {
             (24 * 16) as u64,
             "kept candidates must equal Q × k"
         );
-        // one-worker streamed scratch: Q × tile × 4 = 24 × 100 × 4; the
-        // materialized row path recorded N × 4 per worker, smaller here
+        // one 24-query block × tile × 4 bytes
         assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 24 * 100 * 4);
     }
 
@@ -541,80 +458,54 @@ mod tests {
         let queries = PointSet::uniform(16, 10, 135);
         let refs = PointSet::uniform(300, 10, 136);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
-
-        // disabled journal, no registry: plain path, nothing recorded
-        let out = knn_search_with_journaled(
-            &queries,
-            &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            &NullJournal,
-            None,
-            "",
-        );
-        assert_eq!(out, plain);
-
-        // live journal + registry: same results, 16 row-path records
-        let journal = EventJournal::new(JournalConfig::default());
-        let reg = MetricsRegistry::new();
-        let out = knn_search_with_journaled(
-            &queries,
-            &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            &journal,
-            Some(&reg),
-            "row-run",
-        );
-        assert_eq!(out, plain);
-        let snap = journal.snapshot();
-        assert_eq!(snap.len(), 16);
-        for r in &snap {
-            assert_eq!(r.tile, 0, "row path has no tile");
-            assert_eq!(r.blocks, 1);
-            assert_eq!(r.status, "ok");
-            assert_eq!(r.tag, "row-run");
-            assert!(r.total_ns > 0, "query envelope must be timed");
-            let phase_sum: u64 = r
-                .phase_ns
-                .iter()
-                .filter(|(k, _)| k != "query")
-                .map(|(_, ns)| ns)
-                .sum();
-            assert!(
-                phase_sum <= r.total_ns,
-                "row fill + select nest inside the query envelope: {r:?}"
+        for metric in [Metric::SquaredEuclidean, Metric::Cosine] {
+            let plain = knn_search_with(&queries, &refs, &cfg, metric);
+            // disabled journal, no registry: plain path, nothing recorded
+            let out = knn_search_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                metric,
+                100,
+                1,
+                &NullJournal,
+                None,
+                "",
+                &NullTimeline,
             );
-        }
-        assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
+            assert_eq!(out, plain, "{metric:?}");
 
-        // streamed: tile phases sum, per-query merge stats, blocks count
-        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
-        let journal = EventJournal::new(JournalConfig::default());
-        let out = knn_search_streamed_parallel_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            100,
-            1,
-            &journal,
-            None,
-            "stream-run",
-            &NullTimeline,
-        );
-        assert_eq!(out, streamed_plain);
-        let snap = journal.snapshot();
-        assert_eq!(snap.len(), 16);
-        for r in &snap {
-            assert_eq!(r.tile, 100);
-            assert_eq!(r.blocks, 3, "300 refs / tile 100");
-            // every tile contributes min(k, tile) = 8 pushes
-            assert_eq!(r.merge_push, 3 * 8);
-            assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
-            assert_eq!(r.scratch_bytes, 16 * 100 * 4);
-            assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
-            assert!(r.total_ns > 0);
+            // live journal + registry: tile phases sum, per-query merge
+            // stats, tiles crossed as blocks
+            let journal = EventJournal::new(JournalConfig::default());
+            let reg = MetricsRegistry::new();
+            let out = knn_search_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                metric,
+                100,
+                1,
+                &journal,
+                Some(&reg),
+                "stream-run",
+                &NullTimeline,
+            );
+            assert_eq!(out, plain, "{metric:?}");
+            assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
+            let snap = journal.snapshot();
+            assert_eq!(snap.len(), 16);
+            for r in &snap {
+                assert_eq!(r.tile, 100);
+                assert_eq!(r.blocks, 3, "300 refs / tile 100");
+                assert_eq!(r.tag, "stream-run");
+                // every tile contributes min(k, tile) = 8 pushes
+                assert_eq!(r.merge_push, 3 * 8);
+                assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
+                assert_eq!(r.scratch_bytes, 16 * 100 * 4);
+                assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
+                assert!(r.total_ns > 0);
+            }
         }
     }
 
@@ -780,7 +671,7 @@ mod tests {
         let report = tl.report();
         assert_eq!(report.lanes.len(), 1);
         let lane = &report.lanes[0];
-        // One worker takes the whole query set as its one block.
+        // 20 queries fit one QUERY_BLOCK.
         assert_eq!(report.blocks_total, 1);
         assert_eq!(
             lane.blocks, report.blocks_total,
@@ -796,7 +687,11 @@ mod tests {
         assert_eq!(lane.tiles, 4);
         assert_eq!(lane.busy_ns + lane.idle_ns, report.wall_ns);
         assert!(lane.busy_ns > 0);
-        assert_eq!(lane.scratch_peak_bytes, 20 * 64 * 4, "Q × tile floats");
+        assert_eq!(
+            lane.scratch_peak_bytes,
+            20 * 64 * 4,
+            "one block × tile floats"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::PointSet;
-use crate::distance::block::{self, FlatMatrix, QUERY_BLOCK};
-use rayon::prelude::*;
+use crate::distance::block::{self, FlatMatrix};
+use crate::distance::clamp_non_finite;
 
 /// A dissimilarity measure; smaller values mean closer points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,14 +59,64 @@ impl Metric {
     }
 }
 
+/// The one distance fill of every native search path: a metric over a
+/// query set × reference set, with the hoisted terms that metric needs.
+/// Squared Euclidean computes both sides' squared norms once and fills
+/// through the GEMM-decomposed row primitive
+/// ([`block::fill_row_range`]); every other metric hoists nothing and
+/// fills `clamp_non_finite(metric.distance(q, r))` per pair. Either way
+/// every value is clamped to the crate's non-finite policy, so the
+/// streamed executor, [`crate::KnnGraph::build`] and
+/// [`distance_matrix_flat_with`] agree bit for bit.
+pub(crate) struct RowFill<'a> {
+    metric: Metric,
+    queries: &'a PointSet,
+    refs: &'a PointSet,
+    q_norms: Vec<f32>,
+    ref_norms: Vec<f32>,
+}
+
+impl<'a> RowFill<'a> {
+    pub(crate) fn new(metric: Metric, queries: &'a PointSet, refs: &'a PointSet) -> Self {
+        let (q_norms, ref_norms) = match metric {
+            Metric::SquaredEuclidean => (block::norms(queries), block::norms(refs)),
+            _ => (Vec::new(), Vec::new()),
+        };
+        RowFill {
+            metric,
+            queries,
+            refs,
+            q_norms,
+            ref_norms,
+        }
+    }
+
+    /// Fill `out[j]` with the clamped distance between query `qi` and
+    /// reference `r0 + j`.
+    #[inline]
+    pub(crate) fn fill(&self, qi: usize, r0: usize, out: &mut [f32]) {
+        let qp = self.queries.point(qi);
+        match self.metric {
+            Metric::SquaredEuclidean => {
+                block::fill_row_range(qp, self.q_norms[qi], self.refs, &self.ref_norms, r0, out)
+            }
+            metric => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = clamp_non_finite(metric.distance(qp, self.refs.point(r0 + j)));
+                }
+            }
+        }
+    }
+}
+
 /// Full distance matrix under an arbitrary metric, in one flat row-major
 /// allocation: `m.at(q, r)` is the dissimilarity between query `q` and
 /// reference `r`, with non-finite values clamped to `+∞`.
 ///
 /// Squared Euclidean routes through the blocked GEMM-style kernel
 /// ([`block::squared_distances`]); the other metrics fill the flat
-/// buffer directly, parallel over query blocks, with no per-query
-/// allocation either way.
+/// buffer row by row through the same per-pair fill the streamed
+/// executor uses, with no per-query allocation either way.
 pub fn distance_matrix_flat_with(
     queries: &PointSet,
     refs: &PointSet,
@@ -79,19 +129,10 @@ pub fn distance_matrix_flat_with(
     let q = queries.len();
     let n = refs.len();
     let mut data = vec![0.0f32; q * n];
-    let blocks: Vec<(usize, &mut [f32])> = data
-        .chunks_mut((QUERY_BLOCK * n).max(1))
-        .enumerate()
-        .collect();
-    blocks.into_par_iter().for_each(|(bi, slab)| {
-        let q0 = bi * QUERY_BLOCK;
-        for (i, row) in slab.chunks_exact_mut(n).enumerate() {
-            let qp = queries.point(q0 + i);
-            for (r, o) in row.iter_mut().enumerate() {
-                *o = crate::distance::clamp_non_finite(metric.distance(qp, refs.point(r)));
-            }
-        }
-    });
+    let fill = RowFill::new(metric, queries, refs);
+    for (qi, row) in data.chunks_exact_mut(n.max(1)).enumerate() {
+        fill.fill(qi, 0, row);
+    }
     FlatMatrix::from_flat(data, q, n)
 }
 
@@ -161,7 +202,7 @@ mod tests {
     fn flat_and_rows_agree_bitwise() {
         // Sizes straddling the query-block edge so the blocked fill path
         // is exercised for every metric.
-        let q = PointSet::uniform(QUERY_BLOCK + 2, 8, 3);
+        let q = PointSet::uniform(block::QUERY_BLOCK + 2, 8, 3);
         let r = PointSet::uniform(37, 8, 4);
         for metric in [
             Metric::SquaredEuclidean,

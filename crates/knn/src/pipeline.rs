@@ -1,22 +1,19 @@
 //! End-to-end k-NN search: distance phase + k-selection phase.
 //!
-//! * [`knn_search`] — the native library entry point: real computation on
-//!   the host, parallel over queries with one reused distance-row scratch
-//!   per worker. This is what a downstream user of the crate calls.
-//! * [`knn_search_streamed_parallel`] — the tile-streamed native
-//!   pipeline, the crate's one streamed executor: workers claim query
+//! * [`knn_search_streamed_parallel_timelined`] — the crate's one native
+//!   search executor. Workers claim [`block::QUERY_BLOCK`]-query
 //!   *blocks* from a shared cursor and walk every reference tile of
 //!   their block in ascending order, filling a reused block×tile
-//!   distance scratch and feeding per-tile k-selection into a
-//!   per-query [`kselect::chunked::StreamMerger`]. The full Q×N matrix
-//!   is never materialised, each query's merge sequence — and therefore
-//!   its neighbors — is identical at any thread count, and the
-//!   distances equal [`knn_search`]'s bit for bit (see
-//!   [`knn_search_streamed_parallel_timelined`] for the tied-id
-//!   caveat). One worker runs the whole query set as a single block
-//!   inline; its scratch is Q×tile floats. Its `_observed` and
-//!   `_timelined` forms add phase observers, cancellation and
-//!   per-worker timeline hooks.
+//!   distance scratch under the search's [`Metric`] and feeding
+//!   per-tile k-selection into a per-query
+//!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
+//!   materialised, and each query's merge sequence — and therefore its
+//!   neighbors — is identical at any thread count. One worker runs
+//!   inline on the calling thread.
+//! * [`knn_search`] / [`knn_search_with`] — the library entry points: the
+//!   executor at [`block::DEFAULT_STREAM_TILE`] on every available core.
+//!   [`knn_search_streamed_parallel`] and its `_observed` form pick the
+//!   tile and thread count for squared Euclidean search.
 //! * [`gpu_knn`] — the simulated pipeline the experiments use: distances
 //!   are computed natively (they are *data*), the distance kernel's cost
 //!   is charged analytically, and k-selection runs for real on the SIMT
@@ -33,37 +30,37 @@
 use kselect::chunked::StreamMerger;
 use kselect::gpu::{
     gpu_select_k, gpu_select_k_resilient, gpu_select_k_resilient_gated, DistanceMatrix,
-    GpuResilience, KernelCounters, SearchReport,
+    GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
 use kselect::types::Neighbor;
 use kselect::{KnnError, SelectConfig};
-use rayon::prelude::*;
 use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
 
 use crate::dataset::PointSet;
 use crate::distance::{block, gpu_distance_metrics};
-use crate::metric::Metric;
+use crate::metric::{Metric, RowFill};
 use crate::pcie::{self, PcieReport};
 
 /// A phase of the native (wall-clock) pipeline, named for observers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// One query end to end (distance row + selection) in
-    /// [`knn_search_with`].
+    /// One query end to end. Fired by no native search since the
+    /// materialized row path was removed; kept so observers that match
+    /// on it (and its journal and metric names) stay valid.
     Query,
-    /// Distance-row fill of one query in [`knn_search_with`].
+    /// Distance-row fill of one query. Fired by no native search (see
+    /// [`Phase::Query`]).
     RowFill,
-    /// k-selection over one query's full row in [`knn_search_with`].
+    /// k-selection over one query's full row. Fired by no native search
+    /// (see [`Phase::Query`]).
     RowSelect,
-    /// Distance fill of one query × one reference tile in
-    /// [`knn_search_streamed_parallel`].
+    /// Distance fill of one query × one reference tile in the executor.
     TileFill,
-    /// Per-tile k-selection of one query in
-    /// [`knn_search_streamed_parallel`].
+    /// Per-tile k-selection of one query in the executor.
     TileSelect,
-    /// [`StreamMerger`] merge of one query's tile survivors in
-    /// [`knn_search_streamed_parallel`].
+    /// [`StreamMerger`] merge of one query's tile survivors in the
+    /// executor.
     TileMerge,
 }
 
@@ -106,9 +103,7 @@ pub trait PhaseObserver: Sync {
     #[inline]
     fn query_merger_stats(&self, _qi: usize, _pushed: u64, _rejected: u64) {}
     /// Which pool worker serviced query `qi`. Fired once per query by
-    /// the streamed pipeline (never by the materialized row path, whose
-    /// implied worker is 0); the journal records it on the query's
-    /// record.
+    /// the executor; the journal records it on the query's record.
     #[inline]
     fn query_worker(&self, _qi: usize, _worker: usize) {}
 }
@@ -179,72 +174,55 @@ pub fn knn_search(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> Ve
     knn_search_with(queries, refs, cfg, Metric::SquaredEuclidean)
 }
 
-/// [`knn_search`] under an arbitrary [`crate::metric::Metric`].
+/// [`knn_search`] under an arbitrary [`crate::metric::Metric`]: the
+/// executor at [`block::DEFAULT_STREAM_TILE`] with the thread count
+/// resolved automatically ([`resolve_threads`]`(0)`).
 ///
-/// Parallel over queries; each worker reuses one distance-row scratch
-/// buffer across all its queries (`map_init`), so the search allocates
-/// O(workers·N) — not O(Q·N) and not one fresh `Vec` per query. Squared
-/// Euclidean rows go through the GEMM-decomposed row primitive with the
-/// reference norms hoisted out of the query loop.
+/// # Panics
+/// When `cfg.k` exceeds the number of references, or the point sets
+/// disagree on dimensionality.
 pub fn knn_search_with(
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
     metric: Metric,
 ) -> Vec<Vec<Neighbor>> {
-    knn_search_with_observed(queries, refs, cfg, metric, &NullObserver)
+    search_uncancelled(
+        queries,
+        refs,
+        cfg,
+        metric,
+        block::DEFAULT_STREAM_TILE,
+        0,
+        &NullObserver,
+        &NullTimeline,
+    )
 }
 
-/// [`knn_search_with`] with [`PhaseObserver`] hooks: per-query
-/// end-to-end latency ([`Phase::Query`]) wrapping the row fill
-/// ([`Phase::RowFill`]) and selection ([`Phase::RowSelect`]), plus the
-/// per-worker row-scratch bytes. Results are identical to the
-/// unobserved path.
-pub fn knn_search_with_observed<O: PhaseObserver>(
+/// The executor under [`NeverCancel`], which never trips.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_uncancelled<O: PhaseObserver, T: TimelineHooks>(
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
     metric: Metric,
+    tile: usize,
+    threads: usize,
     obs: &O,
+    tl: &T,
 ) -> Vec<Vec<Neighbor>> {
-    assert!(cfg.k <= refs.len(), "k exceeds the number of references");
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-    let n = refs.len();
-    obs.scratch_bytes((n * core::mem::size_of::<f32>()) as u64);
-    let ref_norms = match metric {
-        Metric::SquaredEuclidean => block::norms(refs),
-        _ => Vec::new(),
-    };
-    (0..queries.len())
-        .into_par_iter()
-        .map_init(
-            || vec![0.0f32; n],
-            |dists, qi| {
-                obs.timed_q(Phase::Query, qi, || {
-                    let qp = queries.point(qi);
-                    obs.timed_q(Phase::RowFill, qi, || {
-                        if metric == Metric::SquaredEuclidean {
-                            block::fill_row_range(
-                                qp,
-                                crate::distance::squared_norm(qp),
-                                refs,
-                                &ref_norms,
-                                0,
-                                dists,
-                            );
-                        } else {
-                            for (ri, d) in dists.iter_mut().enumerate() {
-                                *d = crate::distance::clamp_non_finite(
-                                    metric.distance(qp, refs.point(ri)),
-                                );
-                            }
-                        }
-                    });
-                    obs.timed_q(Phase::RowSelect, qi, || kselect::select_k(dists, cfg))
-                })
-            },
-        )
-        .collect()
+    knn_search_streamed_parallel_timelined(
+        queries,
+        refs,
+        cfg,
+        metric,
+        tile,
+        threads,
+        obs,
+        &NeverCancel,
+        tl,
+    )
+    .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
 }
 
 /// Resolve a caller-facing thread-count request: `0` means "auto"
@@ -271,20 +249,11 @@ struct Schedule {
 
 impl Schedule {
     fn new(q: usize, n: usize, tile: usize, threads: usize) -> Self {
-        let workers = resolve_threads(threads);
-        // One worker takes the whole query set as one block, so each
-        // tile is one pass over the references; a pool deals out
-        // QUERY_BLOCK-query blocks so a fast worker can steal the next.
-        let block_len = if workers == 1 {
-            q
-        } else {
-            block::QUERY_BLOCK.min(q)
-        }
-        .max(1);
+        let block_len = block::QUERY_BLOCK.min(q).max(1);
         let blocks_total = q.div_ceil(block_len);
         let tile = tile.min(n.max(1));
         Schedule {
-            workers: workers.min(blocks_total.max(1)),
+            workers: resolve_threads(threads).min(blocks_total.max(1)),
             block_len,
             blocks_total,
             tile,
@@ -301,19 +270,17 @@ impl Schedule {
 
 /// Peak distance-scratch bytes of a streamed search over `q` queries
 /// and `n` references at `tile` and `threads`:
-/// `workers × block × min(tile, N) × 4`, where one worker holds the
-/// whole query set as its block (Q×tile) and a pool holds one
-/// [`block::QUERY_BLOCK`]-query block per worker.
+/// `workers × min(QUERY_BLOCK, Q) × min(tile, N) × 4`, one
+/// [`block::QUERY_BLOCK`]-query block per worker at every worker count.
 pub fn streamed_scratch_bytes(q: usize, n: usize, tile: usize, threads: usize) -> u64 {
     Schedule::new(q, n, tile, threads).scratch_bytes()
 }
 
-/// Tile-streamed native k-NN search on `threads` OS threads (`0` =
-/// auto, see [`resolve_threads`]): the neighbors of [`knn_search`]
-/// without ever materialising the Q×N distance matrix, identical at
-/// any thread count. See [`knn_search_streamed_parallel_timelined`] for
-/// the schedule and the tie caveat. Use [`block::DEFAULT_STREAM_TILE`]
-/// for `tile` when in doubt.
+/// Tile-streamed native k-NN search by squared Euclidean distance on
+/// `threads` OS threads (`0` = auto, see [`resolve_threads`]), identical
+/// at any thread count. See [`knn_search_streamed_parallel_timelined`]
+/// for the schedule. Use [`block::DEFAULT_STREAM_TILE`] for `tile` when
+/// in doubt.
 pub fn knn_search_streamed_parallel(
     queries: &PointSet,
     refs: &PointSet,
@@ -341,42 +308,38 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
     threads: usize,
     obs: &O,
 ) -> Vec<Vec<Neighbor>> {
-    match knn_search_streamed_parallel_timelined(
+    search_uncancelled(
         queries,
         refs,
         cfg,
+        Metric::SquaredEuclidean,
         tile,
         threads,
         obs,
-        &NeverCancel,
         &NullTimeline,
-    ) {
-        Ok(neighbors) => neighbors,
-        // `NeverCancel` never trips.
-        Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
-    }
+    )
 }
 
-/// The streamed executor. Workers claim query blocks from a shared
-/// atomic cursor (dynamic scheduling — a fast worker steals the next
-/// block as soon as it finishes one) and walk *every* reference tile of
-/// their block in ascending order into a per-worker block×tile scratch:
-/// per query, the tile's distances are filled by the blocked row
-/// primitive, k-selected with the configured variant, and the survivors
+/// The executor. Workers claim [`block::QUERY_BLOCK`]-query blocks from
+/// a shared atomic cursor (dynamic scheduling — a fast worker steals the
+/// next block as soon as it finishes one) and walk *every* reference
+/// tile of their block in ascending order into a per-worker block×tile
+/// scratch: per query, the tile's distances are filled under `metric`
+/// (squared Euclidean through the blocked row primitive with hoisted
+/// norms, any other metric pair by pair, both under the non-finite
+/// clamp), k-selected with the configured variant, and the survivors
 /// pushed into the query's [`StreamMerger`] — the same merge the
 /// divide-and-merge (`select_k_chunked`) path uses. Each query's
 /// survivors therefore reach its merger in the same order at any thread
 /// count, so the neighbors are identical; only wall-clock interleaving
 /// varies. One worker (after [`resolve_threads`]) runs inline, on the
-/// calling thread, with the whole query set as one block; a pool deals
-/// out [`block::QUERY_BLOCK`]-query blocks. The scratch is
-/// [`streamed_scratch_bytes`].
+/// calling thread. The scratch is [`streamed_scratch_bytes`].
 ///
 /// The final top-k distances equal selecting over the full row
-/// ([`knn_search`]), and with the insertion queue the ids do too
-/// (first-seen == lowest id on both paths). The heap and merge queues
-/// evict id-arbitrarily among *equal* distances, so under exact ties at
-/// the k-th value the two paths may keep different (equally correct)
+/// ([`crate::ground_truth`]), and with the insertion queue the ids do
+/// too (first-seen == lowest id). The heap and merge queues evict
+/// id-arbitrarily among *equal* distances, so under exact ties at the
+/// k-th value a full-row selection may keep different (equally correct)
 /// tied ids — a property of those queues, not of the streaming.
 ///
 /// `token` is polled per block and tile with that block's completed-tile
@@ -408,6 +371,7 @@ pub fn knn_search_streamed_parallel_timelined<
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
+    metric: Metric,
     tile: usize,
     threads: usize,
     obs: &O,
@@ -431,8 +395,7 @@ pub fn knn_search_streamed_parallel_timelined<
         tile,
         tiles_total,
     } = schedule;
-    let ref_norms = block::norms(refs);
-    let q_norms = block::norms(queries);
+    let fill = RowFill::new(metric, queries, refs);
 
     let next_block = AtomicUsize::new(0);
     // Earliest tile boundary any block's token tripped at; usize::MAX =
@@ -478,16 +441,7 @@ pub fn knn_search_streamed_parallel_timelined<
                 let t_len = tile.min(n - r0);
                 for (i, row) in scratch[..(q1 - q0) * t_len].chunks_mut(t_len).enumerate() {
                     let qi = q0 + i;
-                    obs.timed_q(Phase::TileFill, qi, || {
-                        block::fill_row_range(
-                            queries.point(qi),
-                            q_norms[qi],
-                            refs,
-                            &ref_norms,
-                            r0,
-                            &mut *row,
-                        )
-                    });
+                    obs.timed_q(Phase::TileFill, qi, || fill.fill(qi, r0, &mut *row));
                     let topk = obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg));
                     let merger = &mut mergers[i];
                     obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
@@ -697,9 +651,78 @@ impl ResilientKnnResult {
     }
 }
 
+/// The part both resilient pipelines share before selection: validated
+/// inputs, the analytic distance kernel, the uploaded distance matrix and
+/// the (possibly faulted) input transfer.
+struct ResilientInput {
+    dm: DistanceMatrix,
+    distance_metrics: Metrics,
+    distance_time: f64,
+    upload: PcieReport,
+}
+
+impl ResilientInput {
+    fn prepare(
+        tm: &TimingModel,
+        queries: &PointSet,
+        refs: &PointSet,
+        res: &GpuResilience,
+    ) -> Result<Self, KnnError> {
+        validate_points(queries, "query")?;
+        validate_points(refs, "reference")?;
+        if queries.dim() != refs.dim() {
+            return Err(KnnError::DimMismatch {
+                query: queries.dim(),
+                reference: refs.dim(),
+            });
+        }
+        let distance_metrics = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
+        let fm = block::squared_distances(queries, refs);
+        // Upload the input points across the (possibly faulted) link. A
+        // corrupt payload is detected and retried; only persistent
+        // corruption escalates to `TransferFailed`.
+        let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
+        let upload = match &res.faults {
+            Some(plan) => {
+                pcie::transfer_with_faults(&tm.spec, input_bytes, plan, 0, res.max_attempts)?
+            }
+            None => PcieReport {
+                attempts: 1,
+                seconds: pcie::transfer_time(&tm.spec, input_bytes),
+                ..PcieReport::default()
+            },
+        };
+        Ok(ResilientInput {
+            dm: DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n()),
+            distance_time: tm.kernel_time(&distance_metrics),
+            distance_metrics,
+            upload,
+        })
+    }
+
+    /// Fold a finished selection and the upload's PCIe counters into the
+    /// pipeline result.
+    fn finish(self, tm: &TimingModel, sel: GpuResilientSelect) -> ResilientKnnResult {
+        let mut report = sel.report;
+        report.counters.pcie_stalls += self.upload.stalls;
+        report.counters.pcie_corruptions += self.upload.corruptions;
+        ResilientKnnResult {
+            neighbors: sel.neighbors,
+            report,
+            select_time: tm.kernel_time(&sel.metrics),
+            distance_time: self.distance_time,
+            select_metrics: sel.metrics,
+            wasted_metrics: sel.wasted,
+            distance_metrics: self.distance_metrics,
+            upload: self.upload,
+            counters: sel.counters,
+        }
+    }
+}
+
 /// [`gpu_knn`] hardened end to end. Inputs are validated up front
-/// ([`validate_points`] plus the selection-request checks), the input
-/// upload runs through the faultable PCIe model
+/// ([`validate_points`], a dimension check, plus the selection-request
+/// checks), the input upload runs through the faultable PCIe model
 /// ([`pcie::transfer_with_faults`]), and k-selection runs under
 /// `res`'s retry/validation/fallback policy. Everything — including an
 /// injected fault campaign — is deterministic, so the whole
@@ -711,44 +734,9 @@ pub fn gpu_knn_resilient(
     cfg: &SelectConfig,
     res: &GpuResilience,
 ) -> Result<ResilientKnnResult, KnnError> {
-    validate_points(queries, "query")?;
-    validate_points(refs, "reference")?;
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-
-    let dist_m = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
-    let distance_time = tm.kernel_time(&dist_m);
-    let fm = block::squared_distances(queries, refs);
-    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
-
-    // Upload the input points across the (possibly faulted) link. A
-    // corrupt payload is detected and retried; only persistent
-    // corruption escalates to `TransferFailed`.
-    let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
-    let upload = match &res.faults {
-        Some(plan) => pcie::transfer_with_faults(&tm.spec, input_bytes, plan, 0, res.max_attempts)?,
-        None => PcieReport {
-            attempts: 1,
-            seconds: pcie::transfer_time(&tm.spec, input_bytes),
-            ..PcieReport::default()
-        },
-    };
-
-    let sel = gpu_select_k_resilient(&tm.spec, &dm, cfg, res)?;
-    let mut report = sel.report;
-    report.counters.pcie_stalls += upload.stalls;
-    report.counters.pcie_corruptions += upload.corruptions;
-
-    Ok(ResilientKnnResult {
-        neighbors: sel.neighbors,
-        report,
-        select_time: tm.kernel_time(&sel.metrics),
-        distance_time,
-        select_metrics: sel.metrics,
-        wasted_metrics: sel.wasted,
-        distance_metrics: dist_m,
-        upload,
-        counters: sel.counters,
-    })
+    let input = ResilientInput::prepare(tm, queries, refs, res)?;
+    let sel = gpu_select_k_resilient(&tm.spec, &input.dm, cfg, res)?;
+    Ok(input.finish(tm, sel))
 }
 
 /// [`gpu_knn_resilient`] under a simulated-time deadline, with
@@ -775,49 +763,18 @@ pub fn gpu_knn_resilient_deadline(
     res: &GpuResilience,
     budget_s: f64,
 ) -> Result<ResilientKnnResult, KnnError> {
-    validate_points(queries, "query")?;
-    validate_points(refs, "reference")?;
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-
-    let dist_m = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
-    let distance_time = tm.kernel_time(&dist_m);
-    let fm = block::squared_distances(queries, refs);
-    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
-
-    let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
-    let upload = match &res.faults {
-        Some(plan) => pcie::transfer_with_faults(&tm.spec, input_bytes, plan, 0, res.max_attempts)?,
-        None => PcieReport {
-            attempts: 1,
-            seconds: pcie::transfer_time(&tm.spec, input_bytes),
-            ..PcieReport::default()
-        },
-    };
-
-    let spent_before_select = upload.seconds + distance_time;
-    let sel = gpu_select_k_resilient_gated(&tm.spec, &dm, cfg, res, |_, consumed, backoff_s| {
-        let select_s = if consumed.issued == 0 {
-            0.0
-        } else {
-            tm.kernel_time(consumed)
-        };
-        spent_before_select + select_s + backoff_s < budget_s
-    })?;
-    let mut report = sel.report;
-    report.counters.pcie_stalls += upload.stalls;
-    report.counters.pcie_corruptions += upload.corruptions;
-
-    Ok(ResilientKnnResult {
-        neighbors: sel.neighbors,
-        report,
-        select_time: tm.kernel_time(&sel.metrics),
-        distance_time,
-        select_metrics: sel.metrics,
-        wasted_metrics: sel.wasted,
-        distance_metrics: dist_m,
-        upload,
-        counters: sel.counters,
-    })
+    let input = ResilientInput::prepare(tm, queries, refs, res)?;
+    let spent_before_select = input.upload.seconds + input.distance_time;
+    let sel =
+        gpu_select_k_resilient_gated(&tm.spec, &input.dm, cfg, res, |_, consumed, backoff_s| {
+            let select_s = if consumed.issued == 0 {
+                0.0
+            } else {
+                tm.kernel_time(consumed)
+            };
+            spent_before_select + select_s + backoff_s < budget_s
+        })?;
+    Ok(input.finish(tm, sel))
 }
 
 /// Lowercase queue-kind tag journal records carry (`merge`, `heap`,
@@ -945,21 +902,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_matches_materialized_across_tiles_and_threads() {
+    fn streamed_matches_ground_truth_across_tiles_and_threads() {
         // 70 queries = 3 query blocks (QUERY_BLOCK = 32): more blocks
-        // than workers at 2 threads, fewer at 8, one whole-set block at 1.
+        // than workers at 1 and 2 threads, fewer at 8.
         let queries = PointSet::uniform(70, 12, 118);
         let refs = PointSet::uniform(500, 12, 119);
+        let truth = crate::ground_truth(&queries, &refs, 16, Metric::SquaredEuclidean);
         for kind in [QueueKind::Insertion, QueueKind::Merge, QueueKind::Heap] {
             let cfg = SelectConfig::plain(kind, 16);
-            let full = knn_search(&queries, &refs, &cfg);
             // Tiles straddling k, tile-edge remainders, and tile > N.
             for tile in [7usize, 16, 100, 499, 500, 4096] {
                 for threads in [1usize, 2, 8] {
                     let streamed =
                         knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
                     assert_eq!(
-                        streamed, full,
+                        streamed, truth,
                         "kind {kind:?} tile {tile} threads {threads}"
                     );
                 }
@@ -982,10 +939,10 @@ mod tests {
 
     #[test]
     fn scratch_is_one_block_per_worker() {
-        // One worker: the whole query set is its block.
+        // One worker: one QUERY_BLOCK×tile buffer, whatever Q is.
         assert_eq!(
             streamed_scratch_bytes(1024, 1 << 14, 2048, 1),
-            1024 * 2048 * 4
+            32 * 2048 * 4
         );
         // A pool: one QUERY_BLOCK×tile buffer per worker.
         assert_eq!(
@@ -1013,6 +970,7 @@ mod tests {
                 &queries,
                 &refs,
                 &cfg,
+                Metric::SquaredEuclidean,
                 64,
                 threads,
                 &NullObserver,
@@ -1209,6 +1167,24 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, KnnError::InvalidK { k: 65, n: 64 });
+    }
+
+    #[test]
+    fn resilient_pipelines_reject_a_dimension_mismatch() {
+        let tm = TimingModel::tesla_c2075();
+        let queries = PointSet::uniform(4, 4, 125);
+        let refs = PointSet::uniform(64, 8, 126);
+        let cfg = SelectConfig::plain(QueueKind::Heap, 8);
+        let res = GpuResilience::default();
+        let expect = KnnError::DimMismatch {
+            query: 4,
+            reference: 8,
+        };
+        let err = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap_err();
+        assert_eq!(err, expect);
+        let err = gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, 1e9).unwrap_err();
+        assert_eq!(err, expect);
+        assert_eq!(err.name(), "dim-mismatch");
     }
 
     #[test]

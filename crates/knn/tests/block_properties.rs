@@ -1,7 +1,7 @@
-//! Property tests for the blocked distance kernel and the tile-streamed
+//! Property tests for the blocked distance kernel and the block-claim
 //! executor.
 //!
-//! Five contracts are exercised here:
+//! Six contracts are exercised here:
 //!
 //! 1. `block::squared_distances` must equal the scalar
 //!    `squared_distance` **bit-for-bit** for every pair — the blocked
@@ -9,10 +9,10 @@
 //!    accumulation order within a pair. Dimensions and sizes straddle
 //!    the LANES / QUERY_BLOCK / REF_TILE edges on purpose.
 //! 2. `knn_search_streamed_parallel` on one worker must return the
-//!    same neighbors as the materialized `knn_search` for arbitrary
-//!    Q/N/k/tile, including tiles smaller than k, tiles larger than N,
-//!    duplicated distances (tie-breaking), and non-finite coordinates
-//!    (overflow to +inf).
+//!    neighbors of the independent full-sort oracle `ground_truth` for
+//!    arbitrary Q/N/k/tile, including tiles smaller than k, tiles
+//!    larger than N, duplicated distances (tie-breaking), and
+//!    non-finite coordinates (overflow to +inf).
 //! 3. The runtime-dispatched SIMD row kernel (`simd::fill_rows`) must
 //!    reproduce both the portable 8-accumulator kernel and the scalar
 //!    reference bit-for-bit at the edge dimensions {1, 7, 8, 9, 127,
@@ -27,10 +27,12 @@
 //! 5. A `TileBudget` cancels the executor at exactly its boundary, and
 //!    a budget covering every tile returns the uncancelled result, at
 //!    every thread count.
+//! 6. Every `Metric` at threads {1, 2, 8} and tiles {1, < k, > N}
+//!    matches `ground_truth`, non-finite inputs included.
 
 use knn::{
-    block, clamp_non_finite, knn_search, knn_search_streamed_parallel, simd, squared_distance,
-    squared_norm, PointSet,
+    block, clamp_non_finite, ground_truth, knn_search_streamed_parallel, simd, squared_distance,
+    squared_norm, Metric, PointSet,
 };
 use kselect::{QueueKind, SelectConfig};
 use proptest::prelude::*;
@@ -39,6 +41,13 @@ use proptest::prelude::*;
 /// pure-tail path, 8 the single full LANES chunk, 9 a chunk plus tail,
 /// 127/128 the register-blocked main loop with and without a tail.
 const EDGE_DIMS: [usize; 6] = [1, 7, 8, 9, 127, 128];
+
+/// Each query's distance bits, in rank order.
+fn dist_bits(rows: &[Vec<kselect::Neighbor>]) -> Vec<Vec<u32>> {
+    rows.iter()
+        .map(|r| r.iter().map(|nb| nb.dist.to_bits()).collect())
+        .collect()
+}
 
 /// A random point set with the given shape; coordinates in [-4, 4).
 fn points(count: usize, dim: usize) -> impl Strategy<Value = PointSet> {
@@ -79,12 +88,12 @@ proptest! {
         }
     }
 
-    /// One-worker streamed search == materialized search, exactly
+    /// One-worker streamed search == the full-sort oracle, exactly
     /// (distances AND ids where the queue fixes them), for arbitrary
     /// tile sizes including tile < k and tile > N, with heavily
     /// duplicated coordinates to force ties.
     #[test]
-    fn streamed_matches_materialized(
+    fn streamed_matches_ground_truth(
         qs in points(7, 5),
         n in 1usize..200,
         k_raw in 1usize..32,
@@ -105,12 +114,12 @@ proptest! {
         let k = k_raw.min(n);
         // Tie semantics: the insertion queue keeps the first-seen
         // (lowest-id) candidate among equals at the cut, and the
-        // streamed merge resolves ties by (dist, id) — so the two paths
-        // agree on ids exactly. The heap and merge queues evict
-        // id-arbitrarily among equal distances (whichever tied element
-        // reached the root / survived the bitonic repair), so for them
-        // the invariant both paths must share is the distance sequence:
-        // the multiset of the k smallest distances is unique.
+        // streamed merge and the oracle's sort resolve ties by
+        // (dist, id) — so the two agree on ids exactly. The heap and
+        // merge queues evict id-arbitrarily among equal distances
+        // (whichever tied element reached the root / survived the
+        // bitonic repair), so for them the invariant is the distance
+        // sequence: the multiset of the k smallest distances is unique.
         for kind in [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge] {
             // The merge queue wants a power-of-two k; skip it when that
             // rounds past the reference count.
@@ -119,25 +128,21 @@ proptest! {
                 continue;
             }
             let cfg = SelectConfig::plain(kind, kk);
-            let full = knn_search(&qs, &refs, &cfg);
+            let truth = ground_truth(&qs, &refs, kk, Metric::SquaredEuclidean);
             let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
             if kind == QueueKind::Insertion {
-                prop_assert_eq!(&streamed, &full, "tile {}", tile);
+                prop_assert_eq!(&streamed, &truth, "tile {}", tile);
             } else {
-                for (s, f) in streamed.iter().zip(&full) {
-                    let sd: Vec<u32> = s.iter().map(|n| n.dist.to_bits()).collect();
-                    let fd: Vec<u32> = f.iter().map(|n| n.dist.to_bits()).collect();
-                    prop_assert_eq!(&sd, &fd, "kind {:?} tile {}", kind, tile);
-                }
+                prop_assert_eq!(dist_bits(&streamed), dist_bits(&truth), "kind {:?} tile {}", kind, tile);
             }
         }
     }
 
     /// Non-finite inputs: coordinates at f32::MAX overflow the squared
     /// norm to +inf; the clamp_non_finite policy must apply identically
-    /// on the one-worker streamed and materialized paths.
+    /// on the one-worker streamed path and the oracle.
     #[test]
-    fn streamed_matches_materialized_non_finite(
+    fn streamed_matches_ground_truth_non_finite(
         poison in proptest::collection::vec(0usize..64, 4),
         tile in 1usize..80,
     ) {
@@ -148,9 +153,57 @@ proptest! {
         }
         let refs = PointSet::from_flat(flat, 4);
         let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let full = knn_search(&qs, &refs, &cfg);
+        let truth = ground_truth(&qs, &refs, 8, Metric::SquaredEuclidean);
         let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
-        prop_assert_eq!(streamed, full);
+        prop_assert_eq!(streamed, truth);
+    }
+
+    /// Every metric runs on the executor: at threads {1, 2, 8} and
+    /// tiles of 1, below k and past N, the neighbors equal the oracle's
+    /// — ids included, since the insertion queue and the oracle both
+    /// break ties by lowest id — with overflowing and NaN coordinates
+    /// clamped to +inf on both sides. A +inf distance never enters a
+    /// queue (its slots start as +inf sentinels), so a row with fewer
+    /// than k finite distances returns only those.
+    #[test]
+    fn every_metric_matches_ground_truth(
+        q in 1usize..40,
+        n in 1usize..120,
+        k_raw in 2usize..12,
+        poison in proptest::collection::vec((0usize..120, 0usize..3), 0..4),
+        seed in 0u64..1000,
+    ) {
+        let queries = PointSet::uniform(q, 3, seed);
+        let mut flat = PointSet::uniform(n, 3, seed ^ 0xAB).as_flat().to_vec();
+        for &(p, kind) in &poison {
+            flat[(p % n) * 3] = [f32::MAX, -f32::MAX, f32::NAN][kind];
+        }
+        let refs = PointSet::from_flat(flat, 3);
+        let k = k_raw.min(n);
+        let cfg = SelectConfig::plain(QueueKind::Insertion, k);
+        for metric in [
+            Metric::SquaredEuclidean,
+            Metric::Manhattan,
+            Metric::Cosine,
+            Metric::NegativeDot,
+        ] {
+            let truth: Vec<Vec<kselect::Neighbor>> = ground_truth(&queries, &refs, k, metric)
+                .into_iter()
+                .map(|row| row.into_iter().filter(|nb| nb.dist.is_finite()).collect())
+                .collect();
+            for tile in [1, (k - 1).max(1), n + 1] {
+                for threads in [1usize, 2, 8] {
+                    let got = knn::knn_search_streamed_parallel_timelined(
+                        &queries, &refs, &cfg, metric, tile, threads,
+                        &knn::NullObserver, &knn::NeverCancel, &trace::NullTimeline,
+                    ).expect("NeverCancel cannot trip");
+                    prop_assert_eq!(
+                        &got, &truth,
+                        "{:?} tile {} threads {}", metric, tile, threads
+                    );
+                }
+            }
+        }
     }
 
     /// The dispatched SIMD row kernel, the portable kernel and the
@@ -294,7 +347,7 @@ proptest! {
         let cfg = SelectConfig::plain(QueueKind::Heap, k);
         let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
         let timelined = knn_search_streamed_parallel_timelined(
-            &queries, &refs, &cfg, tile, threads,
+            &queries, &refs, &cfg, Metric::SquaredEuclidean, tile, threads,
             &NullObserver, &NeverCancel, &NullTimeline,
         ).expect("NeverCancel cannot trip");
         prop_assert_eq!(timelined, plain);
@@ -346,7 +399,7 @@ proptest! {
         let full = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
         for threads in [1usize, 2, 8] {
             let out = knn_search_streamed_parallel_timelined(
-                &queries, &refs, &cfg, tile, threads,
+                &queries, &refs, &cfg, Metric::SquaredEuclidean, tile, threads,
                 &NullObserver, &TileBudget(budget), &NullTimeline,
             );
             if budget < tiles_total {

@@ -1,20 +1,16 @@
 //! Kernel launch machinery: fan a kernel out over many warps.
 //!
 //! Warps are independent in every kernel in this workspace (one k-NN query
-//! per lane, 32 queries per warp), so the launcher runs them across host
-//! cores with rayon. Each warp owns a private [`WarpCtx`]; metrics are
-//! reduced at the end, which keeps the simulation deterministic regardless
-//! of host scheduling.
-
-use rayon::prelude::*;
+//! per lane, 32 queries per warp). Each warp owns a private [`WarpCtx`];
+//! metrics are reduced at the end in warp-id order, which keeps the
+//! simulation deterministic.
 
 use crate::{GpuSpec, Metrics, WarpCtx};
 
-/// Execute `kernel` for `n_warps` warps in parallel on the host.
+/// Execute `kernel` for `n_warps` warps on the host.
 ///
 /// Returns each warp's result (ordered by warp id) and the summed metrics.
-/// The kernel must be `Sync` because warps may run concurrently; all
-/// simulated mutable state should live inside the kernel invocation (e.g.
+/// All simulated mutable state should live inside the kernel invocation (e.g.
 /// [`crate::mem::LaneLocal`] buffers created per warp) or be returned.
 pub fn launch<R, K>(spec: &GpuSpec, n_warps: usize, kernel: K) -> (Vec<R>, Metrics)
 where
@@ -22,7 +18,6 @@ where
     R: Send,
 {
     let per_warp: Vec<(R, Metrics)> = (0..n_warps)
-        .into_par_iter()
         .map(|w| {
             let mut ctx = WarpCtx::for_spec(spec);
             let r = kernel(w, &mut ctx);

@@ -28,8 +28,6 @@
 //! the caller (see `kselect`'s resilient selection) decides whether to
 //! degrade to an exact host path or surface a per-query error.
 
-use rayon::prelude::*;
-
 use crate::fault::{FaultPlan, FaultSignal};
 use crate::{GpuSpec, Metrics, WarpCtx};
 
@@ -235,7 +233,6 @@ where
     }
 
     let per_warp: Vec<(WarpRun<R>, Metrics, Metrics)> = (0..n_warps)
-        .into_par_iter()
         .map(|w| run_warp(spec, w, policy, plan.as_ref(), &kernel, &validate))
         .collect();
 
@@ -271,7 +268,7 @@ where
 /// deadline check needs ("work already consumed" must be well defined
 /// at every boundary). Per-warp results, metrics and fault draws depend
 /// only on `(warp, attempt)` exactly as in [`launch_resilient`], so
-/// with an always-true gate the outcome is identical to the parallel
+/// with an always-true gate the outcome is identical to the ungated
 /// launcher, byte for byte.
 pub fn launch_resilient_gated<R, K, V, G>(
     spec: &GpuSpec,

@@ -49,11 +49,12 @@ pub const SCHEMA_VERSION: &str = "1.1";
 /// Phase-name keys the knn pipelines record under. The journal accepts
 /// any name; these are the ones `knn-cli report` knows how to group.
 pub mod phases {
-    /// One query end to end on the materialized row path.
+    /// One query end to end on the former materialized row path (no
+    /// native search records it now; kept so older journals group).
     pub const QUERY: &str = "query";
-    /// Distance-row fill (materialized path).
+    /// Distance-row fill (former materialized path, see [`QUERY`]).
     pub const ROW_FILL: &str = "row_fill";
-    /// Full-row k-selection (materialized path).
+    /// Full-row k-selection (former materialized path, see [`QUERY`]).
     pub const ROW_SELECT: &str = "row_select";
     /// Distance fill of one reference tile (streamed path, summed).
     pub const TILE_FILL: &str = "tile_fill";
@@ -88,7 +89,7 @@ pub struct QueryRecord {
     pub queue: String,
     /// Free-form run context (campaign seed, bench label; may be empty).
     pub tag: String,
-    /// Streaming tile size (0 on the materialized row path).
+    /// Streaming tile size (0 on records without a tile walk).
     pub tile: u64,
     /// End-to-end latency, nanoseconds (wall-clock on native paths,
     /// simulated on the resilient pipeline).
@@ -108,7 +109,7 @@ pub struct QueryRecord {
     pub status: String,
     /// Kernel attempts consumed (1 for a clean first attempt).
     pub attempts: u32,
-    /// Pipeline worker that serviced the query (0 on sequential
+    /// Pipeline worker that serviced the query (0 on single-lane
     /// paths and in pre-1.1 journals).
     pub worker: u32,
     /// Retained by the exemplar heap (set at snapshot time).
@@ -708,10 +709,12 @@ mod tests {
 
     #[test]
     fn journal_is_usable_from_parallel_workers() {
-        use rayon::prelude::*;
         let j = EventJournal::new(JournalConfig::default());
-        (0..512u64).into_par_iter().for_each(|q| {
-            j.record(rec(q, 100 + q));
+        // Four OS threads record interleaved query ids concurrently.
+        rayon::scope_broadcast(4, |w| {
+            for q in (w as u64..512).step_by(4) {
+                j.record(rec(q, 100 + q));
+            }
         });
         assert_eq!(j.snapshot().len(), 512);
         assert_eq!(j.stats().seen, 512);

@@ -5,8 +5,8 @@
 //! [`crate::Tracer`]'s clock only moves when instrumented code advances
 //! it by modelled durations. This module is the complementary face: a
 //! thread-safe [`MetricsRegistry`] that measures the native pipeline
-//! (`knn_search`, the streamed executor `knn_search_streamed_parallel`,
-//! the blocked distance kernel) with monotonic host wall clock, usable
+//! (the block-claim search executor behind `knn_search`, the blocked
+//! distance kernel) with monotonic host wall clock, usable
 //! concurrently from the executor's workers.
 //!
 //! Primitives:
@@ -670,12 +670,14 @@ mod tests {
 
     #[test]
     fn registry_is_usable_from_parallel_workers() {
-        use rayon::prelude::*;
         let reg = MetricsRegistry::new();
-        (0..256usize).into_par_iter().for_each(|i| {
-            reg.observe_ns("par.lat", (i as u64 + 1) * 10);
-            reg.inc("par.events", 1);
-            reg.record_peak("par.peak", i as u64);
+        // Four OS threads record interleaved samples concurrently.
+        rayon::scope_broadcast(4, |w| {
+            for i in (w..256usize).step_by(4) {
+                reg.observe_ns("par.lat", (i as u64 + 1) * 10);
+                reg.inc("par.events", 1);
+                reg.record_peak("par.peak", i as u64);
+            }
         });
         let snap = reg.snapshot();
         assert_eq!(snap.histograms[0].count, 256);
