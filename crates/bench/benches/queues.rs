@@ -20,21 +20,21 @@ fn bench_queues(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("insertion", k), &k, |b, &k| {
             b.iter(|| {
                 let mut q = InsertionQueue::new(k);
-                select_into(&mut q, black_box(&data));
+                select_into(&mut q, black_box(&data), 0);
                 black_box(q.max())
             })
         });
         g.bench_with_input(BenchmarkId::new("heap", k), &k, |b, &k| {
             b.iter(|| {
                 let mut q = HeapQueue::new(k);
-                select_into(&mut q, black_box(&data));
+                select_into(&mut q, black_box(&data), 0);
                 black_box(q.max())
             })
         });
         g.bench_with_input(BenchmarkId::new("merge", k), &k, |b, &k| {
             b.iter(|| {
                 let mut q = MergeQueue::new(k, 8);
-                select_into(&mut q, black_box(&data));
+                select_into(&mut q, black_box(&data), 0);
                 black_box(q.max())
             })
         });
@@ -48,7 +48,7 @@ fn bench_queues(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, &m| {
             b.iter(|| {
                 let mut q = MergeQueue::new(256, m);
-                select_into(&mut q, black_box(&data));
+                select_into(&mut q, black_box(&data), 0);
                 black_box(q.max())
             })
         });

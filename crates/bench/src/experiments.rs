@@ -54,17 +54,17 @@ fn count_updates(kind: QueueKind, dists: &[f32], k: usize) -> UpdateCounter {
     match kind {
         QueueKind::Insertion => {
             let mut q = InsertionQueue::with_stats(k, UpdateCounter::new(k));
-            kselect::queues::select_into(&mut q, dists);
+            kselect::queues::select_into(&mut q, dists, 0);
             q.into_parts().1
         }
         QueueKind::Heap => {
             let mut q = HeapQueue::with_stats(k, UpdateCounter::new(k));
-            kselect::queues::select_into(&mut q, dists);
+            kselect::queues::select_into(&mut q, dists, 0);
             q.into_parts().1
         }
         QueueKind::Merge => {
             let mut q = MergeQueue::with_stats(k, 8, UpdateCounter::new(k));
-            kselect::queues::select_into(&mut q, dists);
+            kselect::queues::select_into(&mut q, dists, 0);
             q.into_parts().1
         }
     }

@@ -530,7 +530,7 @@ loadable in ui.perfetto.dev or chrome://tracing.
 
 `stats` sweeps the *native* streamed pipeline over tile sizes × queue
 kinds and prints wall-clock latency histograms (p50/p95/p99) plus the
-stream-merge counters. --metrics-out (also on search/bench) writes the
+selection-queue admission/eviction counters. --metrics-out (also on search/bench) writes the
 collected metrics: OpenMetrics text exposition by default, or a JSON
 snapshot when FILE ends in .json.
 

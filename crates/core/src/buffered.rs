@@ -129,7 +129,7 @@ mod tests {
                     };
                     // insertion
                     let mut direct = InsertionQueue::new(k);
-                    select_into(&mut direct, &dists);
+                    select_into(&mut direct, &dists, 0);
                     let mut buffered = InsertionQueue::new(k);
                     buffered_select_into(&mut buffered, &dists, &cfg);
                     assert_eq!(
@@ -147,7 +147,7 @@ mod tests {
                     );
                     // heap
                     let mut direct = HeapQueue::new(k);
-                    select_into(&mut direct, &dists);
+                    select_into(&mut direct, &dists, 0);
                     let mut buffered = HeapQueue::new(k);
                     buffered_select_into(&mut buffered, &dists, &cfg);
                     assert_eq!(
@@ -165,7 +165,7 @@ mod tests {
                     );
                     // merge
                     let mut direct = MergeQueue::new(k, 8);
-                    select_into(&mut direct, &dists);
+                    select_into(&mut direct, &dists, 0);
                     let mut buffered = MergeQueue::new(k, 8);
                     buffered_select_into(&mut buffered, &dists, &cfg);
                     assert_eq!(

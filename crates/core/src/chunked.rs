@@ -14,10 +14,10 @@ use crate::select::{select_k, SelectConfig};
 use crate::types::{sort_neighbors, Neighbor};
 
 /// Incremental top-k merge over per-chunk selections — the host-side
-/// "global merge" state of the divide-and-merge literature, factored out
-/// so streaming pipelines (which see one chunk at a time and never hold
-/// the full list) share the exact merge semantics of
-/// [`select_k_chunked`].
+/// "global merge" state of the divide-and-merge literature. Only
+/// [`select_k_chunked`] uses it, since there chunks really do arrive as
+/// top-k lists; the `knn` executor instead keeps one queue per query
+/// across its tiles (see [`crate::queues::select_into`]).
 ///
 /// Feed it each chunk's top-k (with the chunk's global id offset); it
 /// keeps at most `k + chunk_topk` candidates alive, so memory stays
@@ -25,24 +25,9 @@ use crate::types::{sort_neighbors, Neighbor};
 /// `(dist, id)` — identical to a single [`select_k`] over the
 /// concatenated list.
 #[derive(Clone, Debug)]
-pub struct StreamMerger {
+struct StreamMerger {
     k: usize,
     acc: Vec<Neighbor>,
-    stats: MergeStats,
-}
-
-/// Lifetime totals of one [`StreamMerger`]: how many candidates were
-/// pushed into it and how many the running top-k evicted. Cheap enough
-/// to track unconditionally (two integer adds per *chunk*), and the
-/// push/reject ratio is the signal tile-size tuning needs — a tile
-/// whose selections mostly get rejected is paying merge cost for
-/// nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Candidates fed in via [`StreamMerger::push_chunk`].
-    pub pushed: u64,
-    /// Candidates evicted by the running top-k truncation.
-    pub rejected: u64,
 }
 
 impl StreamMerger {
@@ -50,19 +35,17 @@ impl StreamMerger {
     ///
     /// # Panics
     /// When `k` is zero.
-    pub fn new(k: usize) -> Self {
+    fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         StreamMerger {
             k,
             acc: Vec::with_capacity(2 * k),
-            stats: MergeStats::default(),
         }
     }
 
     /// Merge one chunk's survivors, rebasing their chunk-local ids by
     /// `id_offset`.
-    pub fn push_chunk(&mut self, chunk: Vec<Neighbor>, id_offset: u32) {
-        self.stats.pushed += chunk.len() as u64;
+    fn push_chunk(&mut self, chunk: Vec<Neighbor>, id_offset: u32) {
         for mut nb in chunk {
             nb.id += id_offset;
             self.acc.push(nb);
@@ -72,23 +55,11 @@ impl StreamMerger {
         // global top-k is necessarily in the running top-k of every
         // prefix of chunks.
         sort_neighbors(&mut self.acc);
-        let before = self.acc.len();
         self.acc.truncate(self.k);
-        self.stats.rejected += (before - self.acc.len()) as u64;
-    }
-
-    /// Lifetime push/reject totals.
-    pub fn stats(&self) -> MergeStats {
-        self.stats
-    }
-
-    /// The current top-k of everything pushed so far, sorted ascending.
-    pub fn current(&self) -> &[Neighbor] {
-        &self.acc
     }
 
     /// Finish: the global top-k, sorted ascending by `(dist, id)`.
-    pub fn finish(self) -> Vec<Neighbor> {
+    fn finish(self) -> Vec<Neighbor> {
         self.acc
     }
 }
@@ -139,30 +110,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_stats_account_for_every_candidate() {
+    fn merger_keeps_the_running_top_k_with_global_ids() {
         let mut m = StreamMerger::new(2);
-        assert_eq!(m.stats(), MergeStats::default());
         m.push_chunk(vec![Neighbor::new(3.0, 0), Neighbor::new(1.0, 1)], 0);
-        // 2 pushed, all kept (k = 2)
-        assert_eq!(
-            m.stats(),
-            MergeStats {
-                pushed: 2,
-                rejected: 0
-            }
-        );
         m.push_chunk(vec![Neighbor::new(0.5, 0), Neighbor::new(9.0, 1)], 10);
-        // 4 pushed lifetime; the running set held 4 and truncated to 2
-        assert_eq!(
-            m.stats(),
-            MergeStats {
-                pushed: 4,
-                rejected: 2
-            }
-        );
         let out = m.finish();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].dist, 0.5);
+        assert_eq!(out, vec![Neighbor::new(0.5, 10), Neighbor::new(1.0, 1)]);
     }
 
     #[test]

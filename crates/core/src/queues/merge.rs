@@ -34,6 +34,8 @@
 //! We follow the prose; the property tests in this module and in
 //! `tests/` confirm the queue then retains exactly the k smallest values.
 
+use std::sync::Arc;
+
 use super::{KQueue, NoStats, UpdateSink};
 use crate::bitonic::{reverse_bitonic_merge_schedule, Comparator};
 use crate::types::{Neighbor, INF, NO_ID};
@@ -44,8 +46,9 @@ pub struct MergeQueue<S: UpdateSink = NoStats> {
     dist: Vec<f32>,
     id: Vec<u32>,
     m: usize,
-    /// Reverse-bitonic-merge schedules for prefix sizes 2m, 4m, …, k.
-    schedules: Vec<Vec<Comparator>>,
+    /// Reverse-bitonic-merge schedules for prefix sizes 2m, 4m, …, k,
+    /// shared by clones (they depend only on `k` and `m`).
+    schedules: Arc<[Vec<Comparator>]>,
     merges: u64,
     sink: S,
 }
@@ -89,7 +92,7 @@ impl<S: UpdateSink> MergeQueue<S> {
             dist: vec![INF; k],
             id: vec![NO_ID; k],
             m,
-            schedules,
+            schedules: schedules.into(),
             merges: 0,
             sink,
         }
@@ -160,18 +163,21 @@ impl<S: UpdateSink> MergeQueue<S> {
 
     fn merge_prefix(&mut self, size: usize) {
         let sched_idx = (size / (2 * self.m)).trailing_zeros() as usize;
-        // Clone the schedule handle out to appease the borrow checker —
-        // schedules are shared immutable data.
-        let schedule = core::mem::take(&mut self.schedules[sched_idx]);
-        for &(a, b) in &schedule {
-            if self.dist[a] < self.dist[b] {
-                self.dist.swap(a, b);
-                self.id.swap(a, b);
-                self.sink.record(a);
-                self.sink.record(b);
+        let MergeQueue {
+            dist,
+            id,
+            schedules,
+            sink,
+            ..
+        } = self;
+        for &(a, b) in &schedules[sched_idx] {
+            if dist[a] < dist[b] {
+                dist.swap(a, b);
+                id.swap(a, b);
+                sink.record(a);
+                sink.record(b);
             }
         }
-        self.schedules[sched_idx] = schedule;
         self.merges += 1;
     }
 }

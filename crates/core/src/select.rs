@@ -6,15 +6,24 @@
 //! "aligned" flag only affects the simulated GPU kernels (intra-warp merge
 //! synchronisation has no native analogue) but lives here so one config
 //! type describes both back ends.
+//!
+//! The `knn` crate's search executor reads only `k`, `queue` and `m`: it
+//! keeps one queue per query across all reference tiles, and that scan
+//! is exact on its own. Buffered Search and Hierarchical Partition are
+//! GPU techniques (a SIMT-divergence fix and a whole-row pre-filter);
+//! they run in the simulated kernels and in full-row [`select_k`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::buffered::{buffered_select_into, BufferConfig};
 use crate::hierarchical::{select_top_down, Hierarchy, HpConfig};
-use crate::queues::{select_into, HeapQueue, InsertionQueue, KQueue, MergeQueue};
+use crate::queues::{AnyQueue, InsertionQueue, KQueue};
 use crate::types::{Neighbor, QueueKind};
 
-/// Full description of a k-selection algorithm variant.
+/// Full description of a k-selection algorithm variant. The native
+/// search executor in the `knn` crate reads `k`, `queue` and `m` only
+/// (see the module docs); [`select_k`] and the simulated kernels read
+/// every field.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SelectConfig {
     /// Number of nearest neighbors to retain.
@@ -96,11 +105,16 @@ impl SelectConfig {
     }
 }
 
-fn run_with_queue<Q: KQueue>(queue: &mut Q, dists: &[f32], cfg: &SelectConfig) {
+/// Select the `cfg.k` smallest distances natively, returning neighbors
+/// sorted ascending by distance.
+pub fn select_k(dists: &[f32], cfg: &SelectConfig) -> Vec<Neighbor> {
+    let mut queue = AnyQueue::new(cfg.queue, cfg.k, cfg.m);
     match (&cfg.hp, &cfg.buffer) {
-        (None, None) => select_into(queue, dists),
+        (None, None) => {
+            queue.select(dists, 0);
+        }
         (None, Some(b)) => {
-            buffered_select_into(queue, dists, b);
+            buffered_select_into(&mut queue, dists, b);
         }
         (Some(h), buf) => {
             // Hierarchical partition does its own exact selection; the
@@ -133,28 +147,7 @@ fn run_with_queue<Q: KQueue>(queue: &mut Q, dists: &[f32], cfg: &SelectConfig) {
             }
         }
     }
-}
-
-/// Select the `cfg.k` smallest distances natively, returning neighbors
-/// sorted ascending by distance.
-pub fn select_k(dists: &[f32], cfg: &SelectConfig) -> Vec<Neighbor> {
-    match cfg.queue {
-        QueueKind::Insertion => {
-            let mut q = InsertionQueue::new(cfg.k);
-            run_with_queue(&mut q, dists, cfg);
-            q.into_sorted()
-        }
-        QueueKind::Heap => {
-            let mut q = HeapQueue::new(cfg.k);
-            run_with_queue(&mut q, dists, cfg);
-            q.into_sorted()
-        }
-        QueueKind::Merge => {
-            let mut q = MergeQueue::new(cfg.k, cfg.m);
-            run_with_queue(&mut q, dists, cfg);
-            q.into_sorted()
-        }
-    }
+    queue.into_sorted()
 }
 
 #[cfg(test)]

@@ -41,14 +41,13 @@ pub const REF_TILE: usize = 256;
 
 /// Default reference-tile length (elements per query per chunk) of the
 /// streamed executor. Each worker's scratch is `QUERY_BLOCK ×
-/// DEFAULT_STREAM_TILE` floats; 2048 keeps it at 256 KiB while
-/// still amortising the per-tile selection merge for typical `k ≤ 512`.
+/// DEFAULT_STREAM_TILE` floats; 2048 keeps it at 256 KiB.
 ///
 /// Chosen empirically: `wallclock --sweep-tiles` (Q=1024, N=2^14,
 /// dim=128, k=32) measures streamed QPS across {1024, 2048, 4096,
-/// 8192}, and 2048 wins — ~21% over 4096 on the reference machine (see
-/// `tile_sweep` in `BENCH_native.json`); larger tiles thrash L2, while
-/// 1024 pays one extra merge round per query.
+/// 8192}, and 2048 won — ~21% over 4096 on the reference machine (see
+/// `tile_sweep` in `BENCH_native.json`, measured when each tile still
+/// had its own selection and merge); larger tiles thrash L2.
 pub const DEFAULT_STREAM_TILE: usize = 2048;
 
 /// A dense Q×N matrix in one flat row-major allocation:

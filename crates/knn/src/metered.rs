@@ -4,7 +4,7 @@
 //! This is the bridge between the pipeline's [`PhaseObserver`] hooks
 //! and `trace::metrics::MetricsRegistry`: every phase gets a wall-clock
 //! latency histogram, the executor reports its scratch high-water mark
-//! and [`kselect::chunked::StreamMerger`] push/reject totals, and the
+//! and its per-query queues' admission/eviction totals, and the
 //! blocked distance kernel gets a timed wrapper. Only this module reads
 //! the host clock on knn's behalf — the default-feature pipeline
 //! monomorphizes the hooks away entirely.
@@ -14,12 +14,11 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the executor |
-//! | `knn.tile.merge_ns` | histogram | stream merge per query × tile, at every thread count |
-//! | `knn.query.latency_ns` / `knn.row.fill_ns` / `knn.row.select_ns` | histogram | names of [`Phase::Query`] / [`Phase::RowFill`] / [`Phase::RowSelect`]; no native search fires them |
+//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile fill and threshold scan of the executor |
+//! | `knn.tile.merge_ns` / `knn.query.latency_ns` / `knn.row.fill_ns` / `knn.row.select_ns` | histogram | names of [`Phase::TileMerge`] / [`Phase::Query`] / [`Phase::RowFill`] / [`Phase::RowSelect`]; no native search fires them |
 //! | `knn.distance.blocked_ns` | histogram | one full blocked-kernel invocation |
 //! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark |
-//! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
+//! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | queue admissions / admissions later evicted; push − reject = neighbors kept |
 //! | `knn.queries` | counter | queries answered by metered searches |
 //!
 //! One entry point, [`knn_search_instrumented`], runs the executor under
@@ -60,9 +59,9 @@ pub fn phase_metric(phase: Phase) -> &'static str {
 
 /// Peak distance-scratch bytes.
 pub const SCRATCH_PEAK_BYTES: &str = "knn.scratch.peak_bytes";
-/// Candidates pushed into the per-query stream mergers.
+/// Candidates the per-query queues admitted.
 pub const MERGE_PUSH: &str = "knn.stream.merge_push";
-/// Candidates the running top-k evicted.
+/// Admissions a later candidate evicted from its queue.
 pub const MERGE_REJECT: &str = "knn.stream.merge_reject";
 /// Queries answered by metered searches.
 pub const QUERIES: &str = "knn.queries";
@@ -312,13 +311,13 @@ impl TimelineHooks for TimelineObserver<'_> {
 /// timeline hooks via `tl` ([`TimelineObserver`], or
 /// [`trace::NullTimeline`] for none), an optional journal (one
 /// [`QueryRecord`] per query: tile phases summed across tiles, per-query
-/// stream-merge push/reject counts, tiles crossed as `blocks`, the
-/// owning worker) and an optional registry. Dispatches on the
+/// queue admission/eviction counts as `merge_push`/`merge_reject`, tiles
+/// crossed as `blocks`, the owning worker) and an optional registry. Dispatches on the
 /// journal/registry combination so one entry point serves every caller;
 /// results are identical to [`crate::knn_search_with`] in all cases. The
 /// [`JournalObserver`]'s per-query drafts accumulate from whichever
 /// worker owns each query's block and are flushed into records once,
-/// after the pool joins, so per-query phase sums and merge counters are
+/// after the pool joins, so per-query phase sums and queue counters are
 /// exact at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn knn_search_instrumented<J: Journal, T: TimelineHooks>(
@@ -396,9 +395,26 @@ pub fn squared_distances_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::distance_matrix_flat_with;
     use crate::pipeline::{knn_search_streamed_parallel, knn_search_with};
+    use kselect::queues::AnyQueue;
     use kselect::QueueKind;
     use trace::{NullJournal, NullTimeline};
+
+    /// Per query, the admissions one plain scan of its full distance
+    /// row makes — what the executor's persistent queue admits across
+    /// the row's tiles.
+    fn row_admissions(
+        queries: &PointSet,
+        refs: &PointSet,
+        cfg: &SelectConfig,
+        metric: Metric,
+    ) -> Vec<u64> {
+        let rows = distance_matrix_flat_with(queries, refs, metric);
+        (0..rows.q())
+            .map(|qi| AnyQueue::new(cfg.queue, cfg.k, cfg.m).select(rows.row(qi), 0))
+            .collect()
+    }
 
     #[test]
     fn metered_searches_match_unmetered_and_populate_the_registry() {
@@ -428,20 +444,22 @@ mod tests {
                 .find(|h| h.name == name)
                 .unwrap_or_else(|| panic!("missing histogram {name}"))
         };
-        // 400 refs / tile 100 = 4 tiles × 24 queries; merges are
-        // observed per query × tile too.
+        // 400 refs / tile 100 = 4 tiles × 24 queries.
         assert_eq!(hist("knn.tile.fill_ns").count, 96);
         assert_eq!(hist("knn.tile.select_ns").count, 96);
-        assert_eq!(hist("knn.tile.merge_ns").count, 96);
         assert!(
             snap.histograms
                 .iter()
-                .all(|h| !h.name.starts_with("knn.row")),
-            "no native search fires the row phases"
+                .all(|h| !h.name.starts_with("knn.row") && h.name != "knn.tile.merge_ns"),
+            "no native search fires the row or merge phases"
         );
         assert_eq!(reg.counter(QUERIES), 24);
-        // every tile yields min(k, tile) survivors: 4 tiles × 16 × 24
-        assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 24);
+        // One queue per query across its tiles admits what one scan of
+        // the full row admits.
+        let admitted: u64 = row_admissions(&queries, &refs, &cfg, Metric::SquaredEuclidean)
+            .iter()
+            .sum();
+        assert_eq!(reg.counter(MERGE_PUSH), admitted);
         assert_eq!(
             reg.counter(MERGE_PUSH) - reg.counter(MERGE_REJECT),
             (24 * 16) as u64,
@@ -460,6 +478,7 @@ mod tests {
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         for metric in [Metric::SquaredEuclidean, Metric::Cosine] {
             let plain = knn_search_with(&queries, &refs, &cfg, metric);
+            let admitted = row_admissions(&queries, &refs, &cfg, metric);
             // disabled journal, no registry: plain path, nothing recorded
             let out = knn_search_instrumented(
                 &queries,
@@ -475,8 +494,8 @@ mod tests {
             );
             assert_eq!(out, plain, "{metric:?}");
 
-            // live journal + registry: tile phases sum, per-query merge
-            // stats, tiles crossed as blocks
+            // live journal + registry: tile phases sum, per-query queue
+            // admissions, tiles crossed as blocks
             let journal = EventJournal::new(JournalConfig::default());
             let reg = MetricsRegistry::new();
             let out = knn_search_instrumented(
@@ -499,8 +518,7 @@ mod tests {
                 assert_eq!(r.tile, 100);
                 assert_eq!(r.blocks, 3, "300 refs / tile 100");
                 assert_eq!(r.tag, "stream-run");
-                // every tile contributes min(k, tile) = 8 pushes
-                assert_eq!(r.merge_push, 3 * 8);
+                assert_eq!(r.merge_push, admitted[r.query as usize], "{metric:?}");
                 assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
                 assert_eq!(r.scratch_bytes, 16 * 100 * 4);
                 assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
@@ -515,6 +533,9 @@ mod tests {
         let refs = PointSet::uniform(400, 12, 138);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let admitted: u64 = row_admissions(&queries, &refs, &cfg, Metric::SquaredEuclidean)
+            .iter()
+            .sum();
         for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
             let parallel = knn_search_streamed_parallel_instrumented(
@@ -540,10 +561,12 @@ mod tests {
             // how blocks were distributed across workers.
             assert_eq!(hist("knn.tile.fill_ns").count, 280, "threads {threads}");
             assert_eq!(hist("knn.tile.select_ns").count, 280);
-            // Merges are observed per query × tile at every thread count.
-            assert_eq!(hist("knn.tile.merge_ns").count, 280);
+            assert!(snap
+                .histograms
+                .iter()
+                .all(|h| h.name != "knn.tile.merge_ns"));
             assert_eq!(reg.counter(QUERIES), 70);
-            assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 70);
+            assert_eq!(reg.counter(MERGE_PUSH), admitted, "threads {threads}");
             assert_eq!(
                 reg.counter(MERGE_PUSH) - reg.counter(MERGE_REJECT),
                 70 * 16,
@@ -560,6 +583,7 @@ mod tests {
         let refs = PointSet::uniform(300, 10, 140);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let admitted = row_admissions(&queries, &refs, &cfg, Metric::SquaredEuclidean);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
             let out = knn_search_streamed_parallel_instrumented(
@@ -579,9 +603,12 @@ mod tests {
             for r in &snap {
                 assert_eq!(r.tile, 100);
                 assert_eq!(r.blocks, 3, "300 refs / tile 100");
-                // Deterministic per-query merge invariants: every tile
-                // contributes min(k, tile) = 8 pushes and kept = k.
-                assert_eq!(r.merge_push, 3 * 8, "threads {threads}");
+                // Deterministic per-query queue counts: the admissions of
+                // one full-row scan, and kept = k.
+                assert_eq!(
+                    r.merge_push, admitted[r.query as usize],
+                    "threads {threads}"
+                );
                 assert_eq!(r.merge_push - r.merge_reject, 8);
                 assert_eq!(r.status, "ok");
                 assert!(r.total_ns > 0, "tile phases must be timed");

@@ -4,12 +4,13 @@
 //!   search executor. Workers claim [`block::QUERY_BLOCK`]-query
 //!   *blocks* from a shared cursor and walk every reference tile of
 //!   their block in ascending order, filling a reused block×tile
-//!   distance scratch under the search's [`Metric`] and feeding
-//!   per-tile k-selection into a per-query
-//!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
-//!   materialised, and each query's merge sequence — and therefore its
-//!   neighbors — is identical at any thread count. One worker runs
-//!   inline on the calling thread.
+//!   distance scratch under the search's [`Metric`] and scanning each
+//!   tile into the query's one persistent k-queue, whose head is the
+//!   running threshold. The full Q×N matrix is never materialised, and
+//!   each query's offer sequence — and therefore its neighbors — is
+//!   that of one [`kselect::select_k`] over its whole row, at any tile
+//!   size and thread count. One worker runs inline on the calling
+//!   thread.
 //! * [`knn_search`] / [`knn_search_with`] — the library entry points: the
 //!   executor at [`block::DEFAULT_STREAM_TILE`] on every available core.
 //!   [`knn_search_streamed_parallel`] and its `_observed` form pick the
@@ -27,13 +28,13 @@
 //!   stalls and detected corruption, and per-warp retry with degraded
 //!   host fallback via [`kselect::gpu::gpu_select_k_resilient`].
 
-use kselect::chunked::StreamMerger;
 use kselect::gpu::{
     gpu_select_k, gpu_select_k_resilient, gpu_select_k_resilient_gated, DistanceMatrix,
     GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
-use kselect::types::Neighbor;
-use kselect::{KnnError, SelectConfig};
+use kselect::queues::AnyQueue;
+use kselect::types::{Neighbor, INF};
+use kselect::{KQueue, KnnError, SelectConfig};
 use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
 
@@ -57,10 +58,12 @@ pub enum Phase {
     RowSelect,
     /// Distance fill of one query × one reference tile in the executor.
     TileFill,
-    /// Per-tile k-selection of one query in the executor.
+    /// Threshold scan of one query × one reference tile into the
+    /// query's persistent queue in the executor.
     TileSelect,
-    /// [`StreamMerger`] merge of one query's tile survivors in the
-    /// executor.
+    /// Merge of one query's per-tile survivors. Fired by no native
+    /// search since the executor keeps one queue per query across
+    /// tiles (see [`Phase::Query`]).
     TileMerge,
 }
 
@@ -94,11 +97,13 @@ pub trait PhaseObserver: Sync {
     /// Peak bytes of the distance scratch a pipeline holds.
     #[inline]
     fn scratch_bytes(&self, _bytes: u64) {}
-    /// Final stream-merge totals: candidates pushed into the per-query
-    /// mergers and candidates their running top-k evicted.
+    /// Final queue totals of a search: `pushed` candidates the per-query
+    /// queues admitted (`offer` returned true) and `rejected` admissions
+    /// a later, smaller candidate evicted, so `pushed − rejected` is the
+    /// neighbors the queues kept.
     #[inline]
     fn merger_stats(&self, _pushed: u64, _rejected: u64) {}
-    /// One query's stream-merge totals (the per-query refinement of
+    /// One query's queue totals (the per-query refinement of
     /// [`PhaseObserver::merger_stats`]).
     #[inline]
     fn query_merger_stats(&self, _qi: usize, _pushed: u64, _rejected: u64) {}
@@ -292,12 +297,12 @@ pub fn knn_search_streamed_parallel(
 }
 
 /// [`knn_search_streamed_parallel`] with [`PhaseObserver`] hooks: per
-/// query × tile fill ([`Phase::TileFill`]), selection
-/// ([`Phase::TileSelect`]) and merge ([`Phase::TileMerge`]), the
-/// scratch working-set bytes and the [`StreamMerger`] push/reject
-/// totals. The observer must be thread-safe (the trait already requires
+/// query × tile fill ([`Phase::TileFill`]) and threshold scan
+/// ([`Phase::TileSelect`]), the scratch working-set bytes and the
+/// queues' admission/eviction totals ([`PhaseObserver::merger_stats`]).
+/// The observer must be thread-safe (the trait already requires
 /// `Sync`); per-query hooks fire from whichever worker owns the query's
-/// block, and the aggregate merge totals are folded once after the pool
+/// block, and the aggregate totals are folded once after the pool
 /// joins, so counters and per-query attributions are exact at any
 /// thread count. Results are identical to the unobserved search.
 pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
@@ -327,25 +332,35 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
 /// scratch: per query, the tile's distances are filled under `metric`
 /// (squared Euclidean through the blocked row primitive with hoisted
 /// norms, any other metric pair by pair, both under the non-finite
-/// clamp), k-selected with the configured variant, and the survivors
-/// pushed into the query's [`StreamMerger`] — the same merge the
-/// divide-and-merge (`select_k_chunked`) path uses. Each query's
-/// survivors therefore reach its merger in the same order at any thread
-/// count, so the neighbors are identical; only wall-clock interleaving
-/// varies. One worker (after [`resolve_threads`]) runs inline, on the
-/// calling thread. The scratch is [`streamed_scratch_bytes`].
+/// clamp) and scanned into the query's one queue, built from `cfg.queue`,
+/// `cfg.k` and `cfg.m` and kept across all its tiles. The scan is
+/// [`kselect::queues::select_into`]: a strict `d < max()` test behind an
+/// eight-lane pre-filter, so most candidates die against the running
+/// threshold eight at a time. `cfg.buffer`, `cfg.hp` and `cfg.aligned`
+/// are GPU techniques and are not read here. One worker (after
+/// [`resolve_threads`]) runs inline, on the calling thread. The scratch
+/// is [`streamed_scratch_bytes`].
 ///
-/// The final top-k distances equal selecting over the full row
-/// ([`crate::ground_truth`]), and with the insertion queue the ids do
-/// too (first-seen == lowest id). The heap and merge queues evict
-/// id-arbitrarily among *equal* distances, so under exact ties at the
-/// k-th value a full-row selection may keep different (equally correct)
-/// tied ids — a property of those queues, not of the streaming.
+/// Each query's queue sees exactly the offers one scan of its whole
+/// distance row would make, so for every queue kind, tile size and
+/// thread count the result equals [`kselect::select_k`] over that row
+/// under `SelectConfig::plain(cfg.queue, cfg.k)` — ids and distance
+/// bits — whenever the row has at least k finite distances. Against
+/// [`crate::ground_truth`] the distances are equal, and so are the ids
+/// with the insertion queue; the heap and merge queues may keep other,
+/// equally near, ids among exact ties at the k-th distance.
+///
+/// A `+∞` distance (a clamped overflow or NaN) never enters a queue,
+/// whose empty slots are `+∞` sentinels. While a query's queue still
+/// holds a sentinel, the executor records the ids of its `+∞`
+/// references, and a row with fewer than k finite distances is padded
+/// with them, lowest id first — exactly the order of
+/// [`crate::ground_truth`].
 ///
 /// `token` is polled per block and tile with that block's completed-tile
 /// count; when it returns `true` the block stops there and the search
 /// returns [`Cancelled`] — no further distance rows are filled, no
-/// further selection runs, and the partial merge state is dropped (see
+/// further selection runs, and the partial queues are dropped (see
 /// [`Cancelled`] for why). [`CancelToken`]s are deterministic functions
 /// of `tiles_done` (the trait contract), so every block trips at the
 /// same tile index and the report does not depend on the thread count;
@@ -396,6 +411,9 @@ pub fn knn_search_streamed_parallel_timelined<
         tiles_total,
     } = schedule;
     let fill = RowFill::new(metric, queries, refs);
+    // Every query's queue is a clone of this one, sharing its read-only
+    // parts (the Merge Queue's bitonic schedules).
+    let empty_queue = AnyQueue::new(cfg.queue, cfg.k, cfg.m);
 
     let next_block = AtomicUsize::new(0);
     // Earliest tile boundary any block's token tripped at; usize::MAX =
@@ -424,8 +442,7 @@ pub fn knn_search_streamed_parallel_timelined<
             tl.block_claimed(worker, b);
             let q0 = b * block_len;
             let q1 = (q0 + block_len).min(q);
-            let mut mergers: Vec<StreamMerger> =
-                (q0..q1).map(|_| StreamMerger::new(cfg.k)).collect();
+            let mut topk: Vec<QueryTopK> = (q0..q1).map(|_| QueryTopK::new(&empty_queue)).collect();
             for (tiles_done, r0) in (0..n).step_by(tile).enumerate() {
                 if token.is_cancelled(tiles_done) {
                     cancel_at.fetch_min(tiles_done, Ordering::Relaxed);
@@ -439,26 +456,29 @@ pub fn knn_search_streamed_parallel_timelined<
                     break 'work;
                 }
                 let t_len = tile.min(n - r0);
-                for (i, row) in scratch[..(q1 - q0) * t_len].chunks_mut(t_len).enumerate() {
+                let rows = scratch[..(q1 - q0) * t_len].chunks_mut(t_len);
+                for ((i, row), query) in rows.enumerate().zip(&mut topk) {
                     let qi = q0 + i;
                     obs.timed_q(Phase::TileFill, qi, || fill.fill(qi, r0, &mut *row));
-                    let topk = obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg));
-                    let merger = &mut mergers[i];
-                    obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
+                    obs.timed_q(Phase::TileSelect, qi, || query.scan(row, r0));
                 }
                 tl.tile_walked(worker, b, tiles_done);
             }
             let (mut pushed, mut rejected) = (0u64, 0u64);
-            for (i, m) in mergers.iter().enumerate() {
-                let s = m.stats();
-                obs.query_merger_stats(q0 + i, s.pushed, s.rejected);
-                obs.query_worker(q0 + i, worker);
-                pushed += s.pushed;
-                rejected += s.rejected;
-            }
+            let out: Vec<Vec<Neighbor>> = topk
+                .into_iter()
+                .enumerate()
+                .map(|(i, query)| {
+                    let (neighbors, admitted, evicted) = query.finish();
+                    obs.query_merger_stats(q0 + i, admitted, evicted);
+                    obs.query_worker(q0 + i, worker);
+                    pushed += admitted;
+                    rejected += evicted;
+                    neighbors
+                })
+                .collect();
             pushed_total.fetch_add(pushed, Ordering::Relaxed);
             rejected_total.fetch_add(rejected, Ordering::Relaxed);
-            let out: Vec<Vec<Neighbor>> = mergers.into_iter().map(StreamMerger::finish).collect();
             done.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((b, out));
@@ -483,6 +503,55 @@ pub fn knn_search_streamed_parallel_timelined<
     let mut blocks = done.into_inner().unwrap_or_else(|e| e.into_inner());
     blocks.sort_unstable_by_key(|&(b, _)| b);
     Ok(blocks.into_iter().flat_map(|(_, v)| v).collect())
+}
+
+/// One query's running selection in the executor: its persistent queue,
+/// the admissions that queue has made, and the `+∞` ids that pad a row
+/// with fewer than k finite distances.
+struct QueryTopK {
+    queue: AnyQueue,
+    admitted: u64,
+    /// Ids of `+∞` distances in ascending order, at most k, recorded
+    /// only while the queue still holds a sentinel.
+    inf_ids: Vec<u32>,
+}
+
+impl QueryTopK {
+    fn new(empty_queue: &AnyQueue) -> Self {
+        QueryTopK {
+            queue: empty_queue.clone(),
+            admitted: 0,
+            inf_ids: Vec::new(),
+        }
+    }
+
+    /// Offer one tile of distances, references `r0..r0 + row.len()`.
+    fn scan(&mut self, row: &[f32], r0: usize) {
+        self.admitted += self.queue.select(row, r0 as u32);
+        // The head only falls, so a head still at +inf after the tile was
+        // +inf for all of it: the row may yet end with fewer than k
+        // finite distances.
+        if self.queue.max() == INF {
+            let room = self.queue.k() - self.inf_ids.len();
+            let ids = (r0 as u32..).zip(row).filter(|&(_, &d)| d == INF);
+            self.inf_ids.extend(ids.map(|(id, _)| id).take(room));
+        }
+    }
+
+    /// The neighbors, the admissions, and the admissions evicted since.
+    fn finish(self) -> (Vec<Neighbor>, u64, u64) {
+        let k = self.queue.k();
+        let mut out = self.queue.into_sorted();
+        let evicted = self.admitted - out.len() as u64;
+        let pad = k - out.len();
+        out.extend(
+            self.inf_ids
+                .into_iter()
+                .take(pad)
+                .map(|id| Neighbor::new(INF, id)),
+        );
+        (out, self.admitted, evicted)
+    }
 }
 
 /// Result of the simulated GPU k-NN pipeline.

@@ -1,7 +1,7 @@
 //! Property tests for the blocked distance kernel and the block-claim
 //! executor.
 //!
-//! Six contracts are exercised here:
+//! Seven contracts are exercised here:
 //!
 //! 1. `block::squared_distances` must equal the scalar
 //!    `squared_distance` **bit-for-bit** for every pair — the blocked
@@ -28,7 +28,11 @@
 //!    a budget covering every tile returns the uncancelled result, at
 //!    every thread count.
 //! 6. Every `Metric` at threads {1, 2, 8} and tiles {1, < k, > N}
-//!    matches `ground_truth`, non-finite inputs included.
+//!    matches `ground_truth`, non-finite inputs included, with rows of
+//!    fewer than k finite distances padded by their +inf references.
+//! 7. For every queue kind, tiles {1, < k, N, > N} and threads
+//!    {1, 2, 8}, the executor returns exactly — ids and distance bits —
+//!    what plain `select_k` returns over each query's full row.
 
 use knn::{
     block, clamp_non_finite, ground_truth, knn_search_streamed_parallel, simd, squared_distance,
@@ -47,6 +51,11 @@ fn dist_bits(rows: &[Vec<kselect::Neighbor>]) -> Vec<Vec<u32>> {
     rows.iter()
         .map(|r| r.iter().map(|nb| nb.dist.to_bits()).collect())
         .collect()
+}
+
+/// The largest power of two not above `n` (`n ≥ 1`).
+fn prev_power_of_two(n: usize) -> usize {
+    1 << (usize::BITS - 1 - n.leading_zeros())
 }
 
 /// A random point set with the given shape; coordinates in [-4, 4).
@@ -138,6 +147,55 @@ proptest! {
         }
     }
 
+    /// The executor's one-queue-per-query scan makes the offers of one
+    /// scan over the whole row, so for every queue kind, with the forced
+    /// ties of `streamed_matches_ground_truth`, at tiles {1, < k, N, > N}
+    /// and threads {1, 2, 8}, each query's neighbors equal plain
+    /// `select_k` over its full distance row: ids and distance bits.
+    #[test]
+    fn streamed_matches_full_row_select_k_for_every_queue(
+        q in 1usize..40,
+        n in 8usize..200,
+        k_raw in 1usize..32,
+        dup_mod in 1u32..8,
+    ) {
+        let queries = PointSet::uniform(q, 5, 98);
+        let refs = {
+            let base = PointSet::uniform(n, 5, 99);
+            let flat: Vec<f32> = base
+                .as_flat()
+                .iter()
+                .map(|&x| ((x * dup_mod as f32) as i32) as f32)
+                .collect();
+            PointSet::from_flat(flat, 5)
+        };
+        let rows = block::squared_distances(&queries, &refs);
+        for kind in QueueKind::ALL {
+            let k = if kind == QueueKind::Merge {
+                (k_raw.next_power_of_two().max(8)).min(prev_power_of_two(n))
+            } else {
+                k_raw.min(n)
+            };
+            let cfg = SelectConfig::plain(kind, k);
+            let full: Vec<Vec<kselect::Neighbor>> =
+                (0..q).map(|qi| kselect::select_k(rows.row(qi), &cfg)).collect();
+            for tile in [1, (k - 1).max(1), n, n + 1] {
+                for threads in [1usize, 2, 8] {
+                    let got = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    prop_assert_eq!(
+                        got.iter().map(|r| r.iter().map(|nb| nb.id).collect()).collect::<Vec<Vec<u32>>>(),
+                        full.iter().map(|r| r.iter().map(|nb| nb.id).collect()).collect::<Vec<Vec<u32>>>(),
+                        "{:?} k {} tile {} threads {}", kind, k, tile, threads
+                    );
+                    prop_assert_eq!(
+                        dist_bits(&got), dist_bits(&full),
+                        "{:?} k {} tile {} threads {}", kind, k, tile, threads
+                    );
+                }
+            }
+        }
+    }
+
     /// Non-finite inputs: coordinates at f32::MAX overflow the squared
     /// norm to +inf; the clamp_non_finite policy must apply identically
     /// on the one-worker streamed path and the oracle.
@@ -162,9 +220,9 @@ proptest! {
     /// tiles of 1, below k and past N, the neighbors equal the oracle's
     /// — ids included, since the insertion queue and the oracle both
     /// break ties by lowest id — with overflowing and NaN coordinates
-    /// clamped to +inf on both sides. A +inf distance never enters a
-    /// queue (its slots start as +inf sentinels), so a row with fewer
-    /// than k finite distances returns only those.
+    /// clamped to +inf on both sides. A row with fewer than k finite
+    /// distances is padded with its +inf references, lowest id first,
+    /// as the oracle's sort orders them.
     #[test]
     fn every_metric_matches_ground_truth(
         q in 1usize..40,
@@ -187,10 +245,7 @@ proptest! {
             Metric::Cosine,
             Metric::NegativeDot,
         ] {
-            let truth: Vec<Vec<kselect::Neighbor>> = ground_truth(&queries, &refs, k, metric)
-                .into_iter()
-                .map(|row| row.into_iter().filter(|nb| nb.dist.is_finite()).collect())
-                .collect();
+            let truth = ground_truth(&queries, &refs, k, metric);
             for tile in [1, (k - 1).max(1), n + 1] {
                 for threads in [1usize, 2, 8] {
                     let got = knn::knn_search_streamed_parallel_timelined(

@@ -4,9 +4,9 @@
 //! pipeline cost overall"; this module answers the production question
 //! they erase: *which individual queries were slow, and why*. Each
 //! completed query may emit one [`QueryRecord`] — phase-by-phase
-//! nanoseconds, scratch peak, stream-merge push/reject counts, and the
-//! retry/fallback outcome from the resilience layer — into an
-//! [`EventJournal`]:
+//! nanoseconds, scratch peak, selection-queue admission/eviction
+//! counts, and the retry/fallback outcome from the resilience layer —
+//! into an [`EventJournal`]:
 //!
 //! * **lock-striped bounded buffers** — records land in one of several
 //!   independently locked ring buffers (stripe chosen by query id), so
@@ -98,9 +98,10 @@ pub struct QueryRecord {
     pub phase_ns: Vec<(String, u64)>,
     /// Distance-scratch bytes attributable to this query.
     pub scratch_bytes: u64,
-    /// Candidates this query pushed into its stream merger.
+    /// Candidates this query's selection queue admitted.
     pub merge_push: u64,
-    /// Candidates its running top-k evicted.
+    /// Admissions a later candidate evicted from that queue, so
+    /// `merge_push − merge_reject` is the neighbors kept.
     pub merge_reject: u64,
     /// Distance-kernel blocks (reference tiles) crossed.
     pub blocks: u32,

@@ -71,7 +71,7 @@ proptest! {
                                size in 1usize..64, sorted in any::<bool>()) {
         let cfg = BufferConfig { size, sorted, intra_warp: true };
         let mut direct = HeapQueue::new(k);
-        select_into(&mut direct, &dists);
+        select_into(&mut direct, &dists, 0);
         let mut buffered = HeapQueue::new(k);
         buffered_select_into(&mut buffered, &dists, &cfg);
         let a: Vec<f32> = direct.into_sorted().iter().map(|n| n.dist).collect();
