@@ -10,7 +10,7 @@
 //! * **shared-alias** ([`alias`]) — per-lane `SharedBuf` writes are
 //!   lane-partitioned (word ≡ `lane_id` mod `WARP_SIZE`) and the
 //!   broadcast flag protocol is fence-bracketed on every path;
-//! * **time-charge** / **charge-divergence** ([`cfg`]) — every loop
+//! * **time-charge** / **charge-divergence** ([`cfg`](mod@cfg)) — every loop
 //!   cycle and every derived divergence charges simulated time, so the
 //!   paper's figures cannot silently undercount work. These are the
 //!   path-sensitive successors of the old token-level `loop-head` and

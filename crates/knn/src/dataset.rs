@@ -2,13 +2,26 @@
 //! query and reference tuples with dimensionality 128, each coordinate
 //! uniform in [0, 1], deterministic under a seed.
 
+use std::sync::OnceLock;
+
 use rand::{Rng, SeedableRng};
 
 /// A dense row-major set of `count` points of dimension `dim`.
+///
+/// A point set is immutable once built by [`PointSet::uniform`] or
+/// [`PointSet::from_flat`]: its fields are private and no method hands
+/// out `&mut` access to the coordinates. That invariant is what makes
+/// the set's squared-norm cache ([`crate::block::norms`]) sound — the
+/// norms are computed on first use and reused by every later search on
+/// the set. Any `&mut` access added to this type must reset the cache
+/// (or consume the set) or the cached norms go stale.
 #[derive(Clone, Debug)]
 pub struct PointSet {
     data: Vec<f32>,
     dim: usize,
+    /// ‖p‖² of every point, filled on first use by
+    /// [`crate::block::norms`]; a clone carries the filled cache along.
+    norms: OnceLock<Vec<f32>>,
 }
 
 impl PointSet {
@@ -18,7 +31,7 @@ impl PointSet {
         assert!(dim > 0, "dimension must be positive");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let data = (0..count * dim).map(|_| rng.gen::<f32>()).collect();
-        PointSet { data, dim }
+        PointSet::from_flat(data, dim)
     }
 
     /// Wrap existing row-major data.
@@ -30,7 +43,11 @@ impl PointSet {
             dim > 0 && data.len().is_multiple_of(dim),
             "ragged point data"
         );
-        PointSet { data, dim }
+        PointSet {
+            data,
+            dim,
+            norms: OnceLock::new(),
+        }
     }
 
     /// Number of points.
@@ -56,6 +73,11 @@ impl PointSet {
     /// The raw row-major data.
     pub fn as_flat(&self) -> &[f32] {
         &self.data
+    }
+
+    /// The squared-norm cache; [`crate::block::norms`] is its one filler.
+    pub(crate) fn norm_cache(&self) -> &OnceLock<Vec<f32>> {
+        &self.norms
     }
 }
 

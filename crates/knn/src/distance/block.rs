@@ -8,7 +8,8 @@
 //! the standard GEMM decomposition (Johnson et al., *Billion-scale
 //! similarity search with GPUs*): ‖q−r‖² = ‖q‖² + ‖r‖² − 2·q·r, so the
 //! pair loop reduces to an inner product with one multiply-add per
-//! dimension, norms are hoisted and computed once per point, and the
+//! dimension, norms are hoisted out of the pair loop and computed once
+//! per point set ([`norms`] caches them on the [`PointSet`]), and the
 //! whole matrix is written into a single flat row-major buffer.
 //!
 //! Blocking: references are walked in [`REF_TILE`]-sized tiles in the
@@ -117,12 +118,21 @@ impl FlatMatrix {
     }
 }
 
-/// Squared norms of every point, computed once: the hoisted ‖·‖² terms
-/// of the decomposition.
-pub fn norms(points: &PointSet) -> Vec<f32> {
-    (0..points.len())
-        .map(|i| squared_norm(points.point(i)))
-        .collect()
+/// Squared norms of every point: the hoisted ‖·‖² terms of the
+/// decomposition, `squared_norm(points.point(i))` at index `i`.
+///
+/// Computed once per point set, on the first call, and cached on the
+/// set itself (4 B per point); every later call — from any search,
+/// [`squared_distances`] or [`crate::KnnGraph::build`] — returns the same
+/// slice. The cache cannot go stale because a [`PointSet`] is immutable
+/// after construction. Sets that never meet a squared Euclidean fill
+/// never pay for their norms.
+pub fn norms(points: &PointSet) -> &[f32] {
+    points.norm_cache().get_or_init(|| {
+        (0..points.len())
+            .map(|i| squared_norm(points.point(i)))
+            .collect()
+    })
 }
 
 /// Fill `out[j] = clamp_non_finite(‖q − refs[r0 + j]‖²)` for one query
@@ -174,7 +184,7 @@ pub fn squared_distances(queries: &PointSet, refs: &PointSet) -> FlatMatrix {
                 queries.point(qi),
                 q_norms[qi],
                 refs,
-                &ref_norms,
+                ref_norms,
                 r0,
                 &mut row[r0..r0 + t_len],
             );
@@ -231,11 +241,75 @@ mod tests {
             qs.point(1),
             squared_norm(qs.point(1)),
             &rs,
-            &ref_norms,
+            ref_norms,
             20,
             &mut out,
         );
         assert_eq!(&m.row(1)[20..30], &out[..]);
+    }
+
+    #[test]
+    fn norms_are_computed_once_per_set() {
+        let p = PointSet::uniform(50, 9, 16);
+        assert!(p.norm_cache().get().is_none(), "constructors stay lazy");
+        let first = norms(&p);
+        let second = norms(&p);
+        assert!(
+            core::ptr::eq(first, second),
+            "second call must hit the cache"
+        );
+        // A search on the set reuses the same slice too.
+        squared_distances(&p, &p);
+        assert!(core::ptr::eq(first, norms(&p)));
+    }
+
+    #[test]
+    fn cached_norms_equal_squared_norm_bitwise() {
+        for dim in [1, 7, 8, 9, 127, 128] {
+            let p = PointSet::uniform(REF_TILE + 3, dim, 17);
+            let cached = norms(&p);
+            assert_eq!(cached.len(), p.len());
+            for (i, &v) in cached.iter().enumerate() {
+                assert_eq!(
+                    v.to_bits(),
+                    squared_norm(p.point(i)).to_bits(),
+                    "dim {dim} point {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clone_carries_equal_norms() {
+        let p = PointSet::uniform(20, 7, 18);
+        let filled = norms(&p).to_vec();
+        let c = p.clone();
+        assert!(
+            c.norm_cache().get().is_some(),
+            "a clone keeps the filled cache"
+        );
+        assert_eq!(norms(&c), &filled[..]);
+        // Cloning before the cache is filled leaves both sides lazy.
+        let cold = PointSet::uniform(20, 7, 18);
+        let cold_clone = cold.clone();
+        assert!(cold_clone.norm_cache().get().is_none());
+        assert_eq!(norms(&cold_clone), &filled[..]);
+    }
+
+    #[test]
+    fn empty_set_has_empty_norms() {
+        let p = PointSet::from_flat(Vec::new(), 4);
+        assert!(norms(&p).is_empty());
+    }
+
+    #[test]
+    fn overflowing_coordinate_caches_infinity() {
+        let mut flat = PointSet::uniform(3, 8, 19).as_flat().to_vec();
+        flat[8] = f32::MAX; // point 1
+        let p = PointSet::from_flat(flat, 8);
+        assert_eq!(norms(&p)[1], f32::INFINITY);
+        assert_eq!(norms(&p)[1], squared_norm(p.point(1)));
+        assert!(norms(&p)[0].is_finite() && norms(&p)[2].is_finite());
     }
 
     #[test]

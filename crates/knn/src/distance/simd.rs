@@ -303,7 +303,7 @@ mod tests {
                     qp,
                     super::super::squared_norm(qp),
                     &rs,
-                    &ref_norms,
+                    ref_norms,
                     r0,
                     &mut out,
                 );
@@ -337,7 +337,7 @@ mod tests {
                         qp,
                         super::super::squared_norm(qp),
                         &rs,
-                        &ref_norms,
+                        ref_norms,
                         0,
                         &mut out,
                     );
@@ -376,7 +376,7 @@ mod tests {
                 qp,
                 super::super::squared_norm(qp),
                 &rs,
-                &ref_norms,
+                ref_norms,
                 0,
                 &mut out,
             );
@@ -401,7 +401,7 @@ mod tests {
                 qp,
                 super::super::squared_norm(qp),
                 &rs,
-                &ref_norms,
+                ref_norms,
                 0,
                 &mut out,
             );

@@ -61,8 +61,9 @@ impl Metric {
 
 /// The one distance fill of every native search path: a metric over a
 /// query set × reference set, with the hoisted terms that metric needs.
-/// Squared Euclidean computes both sides' squared norms once and fills
-/// through the GEMM-decomposed row primitive
+/// Squared Euclidean borrows both sides' squared norms from the sets'
+/// caches ([`block::norms`]: computed on a set's first use, reused by
+/// every later call) and fills through the GEMM-decomposed row primitive
 /// ([`block::fill_row_range`]); every other metric hoists nothing and
 /// fills `clamp_non_finite(metric.distance(q, r))` per pair. Either way
 /// every value is clamped to the crate's non-finite policy, so the
@@ -72,15 +73,15 @@ pub(crate) struct RowFill<'a> {
     metric: Metric,
     queries: &'a PointSet,
     refs: &'a PointSet,
-    q_norms: Vec<f32>,
-    ref_norms: Vec<f32>,
+    q_norms: &'a [f32],
+    ref_norms: &'a [f32],
 }
 
 impl<'a> RowFill<'a> {
     pub(crate) fn new(metric: Metric, queries: &'a PointSet, refs: &'a PointSet) -> Self {
         let (q_norms, ref_norms) = match metric {
             Metric::SquaredEuclidean => (block::norms(queries), block::norms(refs)),
-            _ => (Vec::new(), Vec::new()),
+            _ => (&[][..], &[][..]),
         };
         RowFill {
             metric,
@@ -98,7 +99,7 @@ impl<'a> RowFill<'a> {
         let qp = self.queries.point(qi);
         match self.metric {
             Metric::SquaredEuclidean => {
-                block::fill_row_range(qp, self.q_norms[qi], self.refs, &self.ref_norms, r0, out)
+                block::fill_row_range(qp, self.q_norms[qi], self.refs, self.ref_norms, r0, out)
             }
             metric => {
                 for (j, o) in out.iter_mut().enumerate() {
@@ -196,6 +197,18 @@ mod tests {
             assert_eq!(m[0].len(), 5);
             assert_eq!(m[1][2], metric.distance(q.point(1), r.point(2)));
         }
+    }
+
+    #[test]
+    fn only_squared_euclidean_fills_the_norm_cache() {
+        let q = PointSet::uniform(3, 8, 5);
+        let r = PointSet::uniform(9, 8, 6);
+        for metric in [Metric::Manhattan, Metric::Cosine, Metric::NegativeDot] {
+            distance_matrix_flat_with(&q, &r, metric);
+        }
+        assert!(q.norm_cache().get().is_none() && r.norm_cache().get().is_none());
+        distance_matrix_flat_with(&q, &r, Metric::SquaredEuclidean);
+        assert!(q.norm_cache().get().is_some() && r.norm_cache().get().is_some());
     }
 
     #[test]

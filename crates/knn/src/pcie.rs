@@ -45,7 +45,7 @@ pub struct PcieReport {
 /// Move `bytes` across PCIe under a fault plan. Each attempt draws
 /// deterministic stall/corruption events from
 /// [`simt::FaultPlan::pcie_events`] keyed on `(transfer_idx, attempt)`:
-/// a stall multiplies that attempt's time by [`STALL_FACTOR`]; a
+/// a stall multiplies that attempt's time by four; a
 /// corruption spends the time but forces a retry (the model assumes an
 /// end-to-end checksum, so corrupt payloads are *detected*, never
 /// delivered). All `max_attempts` corrupt →

@@ -73,7 +73,7 @@ pub enum Phase {
 /// the observer, so [`NullObserver`] monomorphizes to *exactly* the
 /// uninstrumented code — no wall-clock reads, no bookkeeping. The
 /// `metrics` cargo feature ships a registry-backed implementation
-/// ([`crate::metered`]); library users can plug their own.
+/// (the `knn::metered` module); library users can plug their own.
 ///
 /// Hooks must not change observable behaviour: `timed` runs `f` exactly
 /// once and returns its result unchanged.
@@ -330,8 +330,8 @@ pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
 /// next block as soon as it finishes one) and walk *every* reference
 /// tile of their block in ascending order into a per-worker block×tile
 /// scratch: per query, the tile's distances are filled under `metric`
-/// (squared Euclidean through the blocked row primitive with hoisted
-/// norms, any other metric pair by pair, both under the non-finite
+/// (squared Euclidean through the blocked row primitive with the sets'
+/// cached norms, any other metric pair by pair, both under the non-finite
 /// clamp) and scanned into the query's one queue, built from `cfg.queue`,
 /// `cfg.k` and `cfg.m` and kept across all its tiles. The scan is
 /// [`kselect::queues::select_into`]: a strict `d < max()` test behind an

@@ -1,7 +1,7 @@
 //! Property tests for the blocked distance kernel and the block-claim
 //! executor.
 //!
-//! Seven contracts are exercised here:
+//! Eight contracts are exercised here:
 //!
 //! 1. `block::squared_distances` must equal the scalar
 //!    `squared_distance` **bit-for-bit** for every pair — the blocked
@@ -33,6 +33,9 @@
 //! 7. For every queue kind, tiles {1, < k, N, > N} and threads
 //!    {1, 2, 8}, the executor returns exactly — ids and distance bits —
 //!    what plain `select_k` returns over each query's full row.
+//! 8. A point set's cached norms change no result: a search on sets
+//!    whose norms an earlier search filled equals the same search on
+//!    fresh copies and `ground_truth`, one set on both sides included.
 
 use knn::{
     block, clamp_non_finite, ground_truth, knn_search_streamed_parallel, simd, squared_distance,
@@ -64,6 +67,25 @@ fn points(count: usize, dim: usize) -> impl Strategy<Value = PointSet> {
         let flat: Vec<f32> = raw.iter().map(|&x| x as f32 / 512.0 - 4.0).collect();
         PointSet::from_flat(flat, dim)
     })
+}
+
+/// The exact k nearest by full sort over the scalar per-pair distance,
+/// with no norm cache anywhere on the path: ascending by distance, ties
+/// by id.
+fn scalar_truth(queries: &PointSet, refs: &PointSet, k: usize) -> Vec<Vec<kselect::Neighbor>> {
+    (0..queries.len())
+        .map(|qi| {
+            let mut row: Vec<kselect::Neighbor> = (0..refs.len())
+                .map(|ri| {
+                    let d = clamp_non_finite(squared_distance(queries.point(qi), refs.point(ri)));
+                    kselect::Neighbor::new(d, ri as u32)
+                })
+                .collect();
+            kselect::types::sort_neighbors(&mut row);
+            row.truncate(k);
+            row
+        })
+        .collect()
 }
 
 proptest! {
@@ -282,8 +304,8 @@ proptest! {
             let len = len_raw.min(n - r0);
             let mut dispatched = vec![0.0f32; len];
             let mut portable = vec![0.0f32; len];
-            simd::fill_rows(qp, norm_q, &refs, &ref_norms, r0, &mut dispatched);
-            simd::fill_rows_portable(qp, norm_q, &refs, &ref_norms, r0, &mut portable);
+            simd::fill_rows(qp, norm_q, &refs, ref_norms, r0, &mut dispatched);
+            simd::fill_rows_portable(qp, norm_q, &refs, ref_norms, r0, &mut portable);
             for j in 0..len {
                 let scalar = clamp_non_finite(squared_distance(qp, refs.point(r0 + j)));
                 prop_assert_eq!(
@@ -323,8 +345,8 @@ proptest! {
             let ref_norms = block::norms(&refs);
             let mut dispatched = vec![0.0f32; 48];
             let mut portable = vec![0.0f32; 48];
-            simd::fill_rows(qp, norm_q, &refs, &ref_norms, 0, &mut dispatched);
-            simd::fill_rows_portable(qp, norm_q, &refs, &ref_norms, 0, &mut portable);
+            simd::fill_rows(qp, norm_q, &refs, ref_norms, 0, &mut dispatched);
+            simd::fill_rows_portable(qp, norm_q, &refs, ref_norms, 0, &mut portable);
             for j in 0..48 {
                 let scalar = clamp_non_finite(squared_distance(qp, refs.point(j)));
                 prop_assert_eq!(dispatched[j].to_bits(), scalar.to_bits(), "dim {} row {}", dim, j);
@@ -427,6 +449,78 @@ proptest! {
         for threads in [2usize, 8] {
             let parallel = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
             prop_assert_eq!(&parallel, &one, "threads {}", threads);
+        }
+    }
+
+    /// The norm cache is invisible in results. A search against a set
+    /// whose norms an earlier search cached returns exactly — ids and
+    /// distance bits — what the same search returns on fresh copies of
+    /// the sets (cold caches), and both equal `ground_truth` on its own
+    /// fresh copies (itself checked against a cache-free scalar sort),
+    /// for every queue kind at threads {1, 2, 8}, with overflowing and
+    /// NaN coordinates. The same holds when one set is both queries and
+    /// references, as in `KnnGraph::build`, and for `KnnGraph::build`
+    /// itself.
+    #[test]
+    fn warm_norm_cache_matches_cold_and_ground_truth(
+        q in 1usize..40,
+        n in 8usize..120,
+        k_raw in 1usize..12,
+        poison in proptest::collection::vec((0usize..120, 0usize..3), 0..4),
+        seed in 0u64..1000,
+    ) {
+        const DIM: usize = 5;
+        let query_flat = PointSet::uniform(q, DIM, seed).as_flat().to_vec();
+        let mut ref_flat = PointSet::uniform(n, DIM, seed ^ 0xCD).as_flat().to_vec();
+        for &(p, kind) in &poison {
+            ref_flat[(p % n) * DIM] = [f32::MAX, -f32::MAX, f32::NAN][kind];
+        }
+        let fresh = |flat: &[f32]| PointSet::from_flat(flat.to_vec(), DIM);
+        let queries = fresh(&query_flat);
+        let refs = fresh(&ref_flat);
+        // Warm both caches with an unrelated search.
+        let warm_up = SelectConfig::plain(QueueKind::Insertion, 1);
+        knn_search_streamed_parallel(&queries, &refs, &warm_up, n + 1, 1);
+        knn_search_streamed_parallel(&refs, &refs, &warm_up, n + 1, 1);
+        for kind in QueueKind::ALL {
+            let k = if kind == QueueKind::Merge {
+                (k_raw.next_power_of_two().max(8)).min(prev_power_of_two(n))
+            } else {
+                k_raw.min(n)
+            };
+            let cfg = SelectConfig::plain(kind, k);
+            let truth = ground_truth(&fresh(&query_flat), &fresh(&ref_flat), k, Metric::SquaredEuclidean);
+            let self_truth = ground_truth(&fresh(&ref_flat), &fresh(&ref_flat), k, Metric::SquaredEuclidean);
+            // The oracle itself fills norm caches; pin it to the
+            // cache-free scalar sort so a cache wrong everywhere at once
+            // cannot pass.
+            prop_assert_eq!(&truth, &scalar_truth(&queries, &refs, k));
+            prop_assert_eq!(&self_truth, &scalar_truth(&refs, &refs, k));
+            for threads in [1usize, 2, 8] {
+                let warm = knn_search_streamed_parallel(&queries, &refs, &cfg, 7, threads);
+                let cold = knn_search_streamed_parallel(
+                    &fresh(&query_flat), &fresh(&ref_flat), &cfg, 7, threads,
+                );
+                prop_assert_eq!(&warm, &cold, "{:?} threads {}", kind, threads);
+                prop_assert_eq!(dist_bits(&warm), dist_bits(&truth), "{:?} threads {}", kind, threads);
+                prop_assert_eq!(&warm, &truth, "{:?} threads {}", kind, threads);
+
+                let warm_self = knn_search_streamed_parallel(&refs, &refs, &cfg, 7, threads);
+                let cold_self = {
+                    let both = fresh(&ref_flat);
+                    knn_search_streamed_parallel(&both, &both, &cfg, 7, threads)
+                };
+                prop_assert_eq!(&warm_self, &cold_self, "self {:?} threads {}", kind, threads);
+                prop_assert_eq!(dist_bits(&warm_self), dist_bits(&self_truth), "self {:?} threads {}", kind, threads);
+                prop_assert_eq!(&warm_self, &self_truth, "self {:?} threads {}", kind, threads);
+            }
+            if k < n {
+                let warm_graph = knn::KnnGraph::build(&refs, k, Metric::SquaredEuclidean, &cfg);
+                let cold_graph = knn::KnnGraph::build(&fresh(&ref_flat), k, Metric::SquaredEuclidean, &cfg);
+                for i in 0..n {
+                    prop_assert_eq!(warm_graph.neighbors(i), cold_graph.neighbors(i), "graph {:?} point {}", kind, i);
+                }
+            }
         }
     }
 

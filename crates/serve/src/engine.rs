@@ -726,7 +726,7 @@ pub fn run<J: Journal>(
     run_timelined(cfg, reg, journal, None)
 }
 
-/// [`run`] with an optional [`TimelineRecorder`]: service intervals
+/// [`run`] with an optional [`trace::TimelineRecorder`]: service intervals
 /// land as `Service` spans on track 0 ("server"), time spent queued as
 /// `QueueWait` spans on track 1 ("queue"), and every brownout ladder
 /// transition as a `step:<name>` mark on the server track — all in the

@@ -67,7 +67,7 @@
 //!
 //! The warp-synchronous style relies on implicit lockstep ordering that
 //! is easy to break silently. Building with the **`sanitize`** feature
-//! turns on the [`sanitize`] intra-warp race detector: every
+//! turns on the `sanitize` module's intra-warp race detector: every
 //! [`mem`]-buffer access is logged into epochs delimited by
 //! [`WarpCtx::sync`], [`WarpCtx::loop_head`] and the free lockstep
 //! marker [`WarpCtx::warp_fence`], and cross-lane same-word conflicts

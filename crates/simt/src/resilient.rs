@@ -1,7 +1,7 @@
 //! Resilient kernel launch: watchdog, bounded retry, validation,
 //! and honest accounting of the recovery cost.
 //!
-//! [`launch_resilient`] wraps [`crate::launch`]'s fan-out with the
+//! [`launch_resilient`] wraps [`crate::launch()`]'s fan-out with the
 //! machinery a production system puts around a GPU kernel:
 //!
 //! * **Warp isolation** — each warp attempt runs under `catch_unwind`,
@@ -129,7 +129,7 @@ pub struct ResilientLaunch<R> {
     pub runs: Vec<WarpRun<R>>,
     /// Metrics of the *accepted* attempts — the work that produced
     /// delivered results. With no faults this equals what
-    /// [`crate::launch`] would have reported.
+    /// [`crate::launch()`] would have reported.
     pub metrics: Metrics,
     /// Metrics of rejected attempts: real simulated work, thrown away.
     pub wasted: Metrics,

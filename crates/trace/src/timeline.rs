@@ -209,7 +209,9 @@ impl WorkerTimeline {
         }
     }
 
-    /// Sum of busy-kind span durations (see [`SpanKind::is_busy`]).
+    /// Sum of busy-kind span durations: [`SpanKind::Block`] and
+    /// [`SpanKind::Service`] (tile spans nest inside blocks; queue-wait
+    /// is not service).
     pub fn busy_ns(&self) -> u64 {
         self.spans
             .iter()
